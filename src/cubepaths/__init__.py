@@ -4,7 +4,6 @@ Closed-form counting under 6-, 18- and 26-connectivity, cross-checked by a
 formula-free graph-search oracle.  All counts are exact big integers.
 """
 
-from .bench import BenchReport, BenchRow, bench_compare
 from .core import (
     ORIGIN,
     CanonicalOffset,
@@ -41,8 +40,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ORIGIN",
-    "BenchReport",
-    "BenchRow",
     "CanonicalOffset",
     "CountTable",
     "GridPoint",
@@ -53,7 +50,6 @@ __all__ = [
     "TableEntry",
     "VerifyReport",
     "admissible_moves",
-    "bench_compare",
     "canonicalize",
     "classify_n18",
     "count_n6",

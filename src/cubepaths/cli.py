@@ -1,6 +1,6 @@
 """Command-line front end.
 
-Subcommands: distance, count, oracle, paths, verify, table, bench.
+Subcommands: distance, count, oracle, paths, verify, table.
 Results go to stdout, diagnostics to stderr.  Exit codes: 0 success,
 1 usage/parse error, 2 verification mismatch.
 """
@@ -12,12 +12,19 @@ import json
 import sys
 from typing import Optional, Sequence
 
-from . import bench as bench_mod
 from .core import GridPoint, Neighborhood, canonicalize
 from .counting import count_paths
 from .metrics import distance
 from .oracle import DEFAULT_ENUMERATION_LIMIT, enumerate_shortest_paths, oracle_count
-from .tables import shell_table, slice_table_2d, to_csv, to_json, to_text, to_tsv
+from .tables import (
+    decimal_string,
+    shell_table,
+    slice_table_2d,
+    to_csv,
+    to_json,
+    to_text,
+    to_tsv,
+)
 from .verify import verify_region
 
 EXIT_OK = 0
@@ -66,10 +73,10 @@ def _print_values(pairs: Sequence[tuple[Neighborhood, int]]) -> None:
     # single neighborhood: exactly one decimal integer, scriptable;
     # "all": one labeled line per neighborhood
     if len(pairs) == 1:
-        print(pairs[0][1])
+        print(decimal_string(pairs[0][1]))
     else:
         for neighborhood, value in pairs:
-            print(f"{neighborhood.value}\t{value}")
+            print(f"{neighborhood.value}\t{decimal_string(value)}")
 
 
 # ---------------------------------------------------------------- commands
@@ -136,8 +143,8 @@ def _cmd_verify(ns: argparse.Namespace) -> int:
                 "mismatches": [
                     {
                         "point": list(point.as_tuple()),
-                        "formula": str(formula),
-                        "oracle": str(oracle),
+                        "formula": decimal_string(formula),
+                        "oracle": decimal_string(oracle),
                     }
                     for point, formula, oracle in r.mismatches
                 ],
@@ -154,7 +161,7 @@ def _cmd_verify(ns: argparse.Namespace) -> int:
             for point, formula, oracle in r.mismatches:
                 print(
                     f"  MISMATCH at {point.x},{point.y},{point.z}: "
-                    f"formula={formula} oracle={oracle}"
+                    f"formula={decimal_string(formula)} oracle={decimal_string(oracle)}"
                 )
     return EXIT_OK if all(r.ok for r in reports) else EXIT_MISMATCH
 
@@ -180,17 +187,6 @@ def _cmd_table(ns: argparse.Namespace) -> int:
     output = renderer(table)
     sys.stdout.write(output if output.endswith("\n") else output + "\n")
     return EXIT_OK
-
-
-def _cmd_bench(ns: argparse.Namespace) -> int:
-    if ns.max_coord < 1:
-        raise _UsageError(f"--max-coord must be >= 1, got {ns.max_coord}")
-    report = bench_mod.bench_compare(ns.max_coord, oracle_cap=ns.oracle_cap)
-    if ns.format == "csv":
-        sys.stdout.write(bench_mod.to_csv(report))
-    else:
-        sys.stdout.write(bench_mod.render_text(report))
-    return EXIT_OK if report.all_equal else EXIT_MISMATCH
 
 
 # ------------------------------------------------------------------ parser
@@ -280,17 +276,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--format", choices=("text", "csv", "tsv", "json"), default="text")
     p.set_defaults(handler=_cmd_table)
-
-    p = sub.add_parser("bench", help="time closed formulas against the oracle")
-    p.add_argument("--max-coord", type=int, default=20, help="largest m in (m, m/2, m/4)")
-    p.add_argument(
-        "--oracle-cap",
-        type=int,
-        default=bench_mod.DEFAULT_ORACLE_CAP,
-        help=f"skip the oracle above this distance (default {bench_mod.DEFAULT_ORACLE_CAP})",
-    )
-    p.add_argument("--format", choices=("text", "csv"), default="text")
-    p.set_defaults(handler=_cmd_bench)
 
     return parser
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Callable, Iterator
 
 from .core import GridPoint, MoveStep, Neighborhood, admissible_moves
 from .metrics import displacement_metric
@@ -42,12 +42,32 @@ def oracle_count(target: GridPoint, neighborhood: Neighborhood) -> int:
     geodesic; its count is the sum over its surviving predecessors.  The
     DP therefore touches O((2d+1)^3) points at worst.
     """
-    dist = displacement_metric(neighborhood)
-    tx, ty, tz = target.as_tuple()
+    moves = sorted(m.as_tuple() for m in admissible_moves(neighborhood))
+    return _layered_count(target.as_tuple(), moves, displacement_metric(neighborhood))
+
+
+def oracle_count_2d(i: int, j: int) -> int:
+    """Shortest chessboard paths from (0, 0) to (i, j): the same layered DP
+    restricted to the 8 planar moves.
+
+    Every visited point stays in the z = 0 plane, where the L-infinity
+    metric of full connectivity is the chessboard metric.
+    """
+    moves = sorted(
+        m.as_tuple() for m in admissible_moves(Neighborhood.N26) if m.dz == 0
+    )
+    return _layered_count((i, j, 0), moves, displacement_metric(Neighborhood.N26))
+
+
+def _layered_count(
+    target: tuple[int, int, int],
+    moves: list[tuple[int, int, int]],
+    dist: Callable[[int, int, int], int],
+) -> int:
+    tx, ty, tz = target
     total = dist(tx, ty, tz)
     if total == 0:
         return 1
-    moves = sorted(m.as_tuple() for m in admissible_moves(neighborhood))
     layer: dict[tuple[int, int, int], int] = {(0, 0, 0): 1}
     for step in range(1, total + 1):
         remaining = total - step
@@ -62,33 +82,6 @@ def oracle_count(target: GridPoint, neighborhood: Neighborhood) -> int:
                     nxt[(vx, vy, vz)] += ways
         layer = nxt
     return layer.get((tx, ty, tz), 0)
-
-
-_MOVES_2D = tuple(
-    sorted((dx, dy) for dx in (-1, 0, 1) for dy in (-1, 0, 1) if (dx, dy) != (0, 0))
-)
-
-
-def oracle_count_2d(i: int, j: int) -> int:
-    """Shortest chessboard paths from (0, 0) to (i, j): the same layered DP
-    restricted to the 8 planar moves."""
-    total = max(abs(i), abs(j))
-    if total == 0:
-        return 1
-    layer: dict[tuple[int, int], int] = {(0, 0): 1}
-    for step in range(1, total + 1):
-        remaining = total - step
-        nxt: dict[tuple[int, int], int] = defaultdict(int)
-        for (ux, uy), ways in layer.items():
-            for mx, my in _MOVES_2D:
-                vx, vy = ux + mx, uy + my
-                if (
-                    max(abs(i - vx), abs(j - vy)) == remaining
-                    and max(abs(vx), abs(vy)) == step
-                ):
-                    nxt[(vx, vy)] += ways
-        layer = nxt
-    return layer.get((i, j), 0)
 
 
 def iter_shortest_paths(

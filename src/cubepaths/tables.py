@@ -101,12 +101,30 @@ def slice_table_2d(max_i: int) -> CountTable:
 _COLUMNS = ("i", "j", "k", "distance", "count")
 
 
+def decimal_string(value: int) -> str:
+    """The exact decimal text of an int of any size.
+
+    This is plain ``str`` unless the value exceeds CPython's int-to-str
+    digit cap (CVE-2020-10735); then it is split by a power of ten into
+    halves that are converted recursively.  The cap itself stays in force,
+    so parsing untrusted input with ``int()`` remains guarded.
+    """
+    try:
+        return str(value)
+    except ValueError:
+        pass
+    width = value.bit_length() * 3 // 20  # about half the decimal digits
+    high, low = divmod(abs(value), 10**width)
+    sign = "-" if value < 0 else ""
+    return sign + decimal_string(high) + decimal_string(low).zfill(width)
+
+
 def _delimited(table: CountTable, delimiter: str) -> str:
     buffer = io.StringIO()
     writer = csv.writer(buffer, delimiter=delimiter, lineterminator="\n")
     writer.writerow(_COLUMNS)
     for point, dist, count in table.entries:
-        writer.writerow([point.x, point.y, point.z, dist, str(count)])
+        writer.writerow([point.x, point.y, point.z, dist, decimal_string(count)])
     return buffer.getvalue()
 
 
@@ -123,7 +141,11 @@ def to_tsv(table: CountTable) -> str:
 def to_json(table: CountTable) -> str:
     """Serialize as a JSON array of {point, distance, count} objects."""
     rows = [
-        {"point": [point.x, point.y, point.z], "distance": dist, "count": str(count)}
+        {
+            "point": [point.x, point.y, point.z],
+            "distance": dist,
+            "count": decimal_string(count),
+        }
         for point, dist, count in table.entries
     ]
     return json.dumps(rows)
@@ -132,7 +154,7 @@ def to_json(table: CountTable) -> str:
 def to_text(table: CountTable) -> str:
     """Render as an aligned human-readable table."""
     rows = [
-        (str(point.x), str(point.y), str(point.z), str(dist), str(count))
+        (str(point.x), str(point.y), str(point.z), str(dist), decimal_string(count))
         for point, dist, count in table.entries
     ]
     widths = [

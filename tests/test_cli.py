@@ -1,12 +1,23 @@
 """End-to-end tests for the command-line interface, via run()."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import cubepaths
+
 from cubepaths.cli import EXIT_MISMATCH, EXIT_OK, EXIT_USAGE, run
 from cubepaths.core import GridPoint, Neighborhood
+from cubepaths.counting import multinomial
+from cubepaths.tables import decimal_string
 from cubepaths.verify import VerifyReport
+
+# a count far above CPython's 4300-digit int->str cap
+HUGE = 7**6000
 
 
 def invoke(capsys, *args):
@@ -56,6 +67,13 @@ def test_count_default_origin(capsys):
 def test_count_handles_negative_and_translated_input(capsys):
     code, out, _ = invoke(capsys, "count", "--from", "5,-1,2", "--to", "6,-4,4", "-n", "18")
     assert (code, out) == (EXIT_OK, "3\n")  # displacement (1,-3,2), same as 3,2,1
+
+
+def test_count_beyond_the_int_to_str_cap(capsys):
+    code, out, err = invoke(capsys, "count", "--to", "6000,3000,1500", "-n", "6")
+    assert (code, err) == (EXIT_OK, "")
+    assert len(out) == 4355 + 1
+    assert out == decimal_string(multinomial(10500, (6000, 3000, 1500))) + "\n"
 
 
 # ------------------------------------------------------------------ oracle
@@ -168,6 +186,24 @@ def test_verify_mismatch_exits_2(capsys, monkeypatch):
     assert "MISMATCH at 1,0,0: formula=2 oracle=1" in out
 
 
+def test_verify_mismatch_beyond_the_int_to_str_cap(capsys, monkeypatch):
+    fake = VerifyReport(
+        extent=1,
+        neighborhood=Neighborhood.N6,
+        checked=4,
+        mismatches=((GridPoint(1, 0, 0), HUGE, HUGE + 1),),
+    )
+    monkeypatch.setattr("cubepaths.cli.verify_region", lambda extent, n: fake)
+    code, out, _ = invoke(capsys, "verify", "--extent", "1", "-n", "6")
+    assert code == EXIT_MISMATCH
+    formula, oracle = decimal_string(HUGE), decimal_string(HUGE + 1)
+    assert f"MISMATCH at 1,0,0: formula={formula} oracle={oracle}" in out
+    code, out, _ = invoke(capsys, "verify", "--extent", "1", "-n", "6", "--format", "json")
+    assert code == EXIT_MISMATCH
+    (mismatch,) = json.loads(out)[0]["mismatches"]
+    assert mismatch == {"point": [1, 0, 0], "formula": formula, "oracle": oracle}
+
+
 def test_verify_rejects_negative_extent(capsys):
     code, _, err = invoke(capsys, "verify", "--extent", "-1")
     assert code == EXIT_USAGE
@@ -249,27 +285,6 @@ def test_table_rejects_negative_length(capsys):
     assert "nonnegative" in err
 
 
-# ------------------------------------------------------------------- bench
-
-
-def test_bench_small_run(capsys):
-    code, out, _ = invoke(capsys, "bench", "--max-coord", "2")
-    assert code == EXIT_OK
-    assert "oracle" in out and "formula" in out
-
-
-def test_bench_csv(capsys):
-    code, out, _ = invoke(capsys, "bench", "--max-coord", "2", "--format", "csv")
-    assert code == EXIT_OK
-    assert out.splitlines()[0].startswith("m,")
-
-
-def test_bench_rejects_bad_max_coord(capsys):
-    code, _, err = invoke(capsys, "bench", "--max-coord", "0")
-    assert code == EXIT_USAGE
-    assert "--max-coord" in err
-
-
 # ------------------------------------------------------------ usage errors
 
 
@@ -304,7 +319,29 @@ def test_missing_subcommand(capsys):
     assert err.startswith("cubepaths: error:")
 
 
+def test_removed_bench_subcommand_is_a_usage_error(capsys):
+    code, out, err = invoke(capsys, "bench")
+    assert (code, out) == (EXIT_USAGE, "")
+    assert "invalid choice: 'bench'" in err
+
+
 def test_help_exits_zero(capsys):
     code, out, _ = invoke(capsys, "--help")
     assert code == EXIT_OK
     assert "COMMAND" in out
+
+
+# -------------------------------------------------------------- module run
+
+
+def test_python_dash_m_runs_the_cli():
+    # run the package under test, wherever it was imported from
+    source_root = str(Path(cubepaths.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-m", "cubepaths", "count", "--to", "0,3,0", "-n", "18"],
+        capture_output=True,
+        text=True,
+        timeout=60,
+        env={**os.environ, "PYTHONPATH": source_root},
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (EXIT_OK, "13\n", "")

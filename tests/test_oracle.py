@@ -20,7 +20,7 @@ from cubepaths.core import (
     admissible_moves,
     canonicalize,
 )
-from cubepaths.counting import count_paths
+from cubepaths.counting import count_n8_2d, count_paths
 from cubepaths.metrics import distance
 from cubepaths.oracle import (
     enumerate_shortest_paths,
@@ -117,6 +117,13 @@ def test_oracle_count_2d_handles_signs_and_order():
 def test_oracle_count_2d_diagonal():
     for i in range(6):
         assert oracle_count_2d(i, i) == 1
+
+
+def test_oracle_count_2d_matches_planar_formula():
+    """The planar kernel behind count_n26 against the formula-free DP."""
+    for i in range(15):
+        for j in range(i + 1):
+            assert count_n8_2d(i, j) == oracle_count_2d(i, j), (i, j)
 
 
 # -------------------------------------------------------------- enumeration

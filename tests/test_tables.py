@@ -1,6 +1,7 @@
 """Tests for shell/slice table building and its serializers."""
 
 import json
+import random
 
 import pytest
 
@@ -11,6 +12,7 @@ from cubepaths.oracle import oracle_count
 from cubepaths.tables import (
     CountTable,
     TableEntry,
+    decimal_string,
     shell_table,
     slice_table_2d,
     symmetry_images,
@@ -197,3 +199,66 @@ def test_serializers_on_empty_table():
     assert to_csv(empty) == "i,j,k,distance,count\n"
     assert json.loads(to_json(empty)) == []
     assert to_text(empty).splitlines()[0].split() == ["i", "j", "k", "distance", "count"]
+
+
+# ------------------------------------------- beyond the int-to-str cap
+
+# 5201 digits, above CPython's 4300-digit cap; the zero run straddles the
+# point where decimal_string splits the value
+HUGE_DIGITS = "9" + "0" * 2600 + "".join(
+    random.Random(4300).choices("0123456789", k=2600)
+)
+
+
+def _from_digits(text):
+    """int(text) for a digit string of any length, 100 digits at a time."""
+    value = 0
+    for start in range(0, len(text), 100):
+        chunk = text[start : start + 100]
+        value = value * 10 ** len(chunk) + int(chunk)
+    return value
+
+
+HUGE = _from_digits(HUGE_DIGITS)
+
+
+def test_decimal_string_is_exact_beyond_the_cap():
+    assert decimal_string(HUGE) == HUGE_DIGITS
+    assert decimal_string(-HUGE) == "-" + HUGE_DIGITS
+    assert decimal_string(HUGE * 10**3000) == HUGE_DIGITS + "0" * 3000
+
+
+def test_decimal_string_is_str_below_the_cap():
+    for value in (0, 7, -12, 10**4299, -(10**4299) + 1, 2**64):
+        assert decimal_string(value) == str(value)
+
+
+def test_decimal_string_keeps_the_cap_on_parsing():
+    decimal_string(HUGE)
+    with pytest.raises(ValueError):
+        int(HUGE_DIGITS)
+
+
+def _huge_table():
+    return CountTable(
+        neighborhood=Neighborhood.N6,
+        length=1,
+        entries=(TableEntry(GridPoint(1, 0, 0), 1, HUGE),),
+    )
+
+
+def test_delimited_serializers_beyond_the_cap():
+    assert to_csv(_huge_table()) == f"i,j,k,distance,count\n1,0,0,1,{HUGE_DIGITS}\n"
+    assert to_tsv(_huge_table()) == f"i\tj\tk\tdistance\tcount\n1\t0\t0\t1\t{HUGE_DIGITS}\n"
+
+
+def test_to_json_beyond_the_cap():
+    rows = json.loads(to_json(_huge_table()))
+    assert rows == [{"point": [1, 0, 0], "distance": 1, "count": HUGE_DIGITS}]
+
+
+def test_to_text_beyond_the_cap():
+    header, row = to_text(_huge_table()).splitlines()
+    assert header.split() == ["i", "j", "k", "distance", "count"]
+    assert row.split() == ["1", "0", "0", "1", HUGE_DIGITS]
+    assert len(header) == len(row)
