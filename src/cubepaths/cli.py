@@ -82,23 +82,11 @@ def _print_values(pairs: Sequence[tuple[Neighborhood, int]]) -> None:
 # ---------------------------------------------------------------- commands
 
 
-def _cmd_distance(ns: argparse.Namespace) -> int:
-    pairs = [(n, distance(ns.origin, ns.target, n)) for n in _neighborhoods(ns.neighborhood)]
-    _print_values(pairs)
-    return EXIT_OK
-
-
-def _cmd_count(ns: argparse.Namespace) -> int:
-    offset = canonicalize(ns.target, ns.origin)
-    pairs = [(n, count_paths(offset, n)) for n in _neighborhoods(ns.neighborhood)]
-    _print_values(pairs)
-    return EXIT_OK
-
-
-def _cmd_oracle(ns: argparse.Namespace) -> int:
-    target = _displacement(ns)
-    pairs = [(n, oracle_count(target, n)) for n in _neighborhoods(ns.neighborhood)]
-    _print_values(pairs)
+def _cmd_values(ns: argparse.Namespace) -> int:
+    # each subcommand sets ns.value(ns, n); it looks distance, count_paths,
+    # canonicalize and oracle_count up as module globals at call time, so a
+    # rebinding of those names here (a tracer, a test) takes effect
+    _print_values([(n, ns.value(ns, n)) for n in _neighborhoods(ns.neighborhood)])
     return EXIT_OK
 
 
@@ -229,17 +217,20 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("distance", help="digital distance between two points")
     _add_endpoints(p)
     _add_neighborhood(p, allow_all=True, required=True)
-    p.set_defaults(handler=_cmd_distance)
+    p.set_defaults(handler=_cmd_values, value=lambda ns, n: distance(ns.origin, ns.target, n))
 
     p = sub.add_parser("count", help="closed-form number of shortest paths")
     _add_endpoints(p)
     _add_neighborhood(p, allow_all=True, required=True)
-    p.set_defaults(handler=_cmd_count)
+    p.set_defaults(
+        handler=_cmd_values,
+        value=lambda ns, n: count_paths(canonicalize(ns.target, ns.origin), n),
+    )
 
     p = sub.add_parser("oracle", help="number of shortest paths by graph search")
     _add_endpoints(p)
     _add_neighborhood(p, allow_all=True, required=True)
-    p.set_defaults(handler=_cmd_oracle)
+    p.set_defaults(handler=_cmd_values, value=lambda ns, n: oracle_count(_displacement(ns), n))
 
     p = sub.add_parser("paths", help="list shortest paths as step sequences")
     _add_endpoints(p)
@@ -292,7 +283,7 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
         return EXIT_OK if exc.code in (0, None) else EXIT_USAGE
     try:
         return ns.handler(ns)
-    except (_UsageError, ValueError) as exc:
+    except _UsageError as exc:
         print(f"cubepaths: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -8,22 +8,24 @@ every division is an exact floor division of a known-integral quotient.
 from __future__ import annotations
 
 from enum import Enum
-from math import factorial
+from math import comb
 from typing import Iterable
 
 from .core import CanonicalOffset, Neighborhood
 
 
 def multinomial(n: int, parts: Iterable[int]) -> int:
-    """n! / prod(part!) for nonnegative parts summing to n."""
+    """n! / prod(part!) for nonnegative parts summing to n, as a product
+    of binomials: each part chooses its places among those left free."""
     parts = list(parts)
     if n < 0 or any(p < 0 for p in parts):
         raise ValueError(f"multinomial needs nonnegative arguments: n={n}, parts={parts}")
     if sum(parts) != n:
         raise ValueError(f"parts {parts} sum to {sum(parts)}, expected {n}")
-    out = factorial(n)
+    out = 1
     for p in parts:
-        out //= factorial(p)
+        out *= comb(n, p)
+        n -= p
     return out
 
 
@@ -36,30 +38,32 @@ def count_n6(off: CanonicalOffset) -> int:
     return multinomial(off.i + off.j + off.k, off.as_triple())
 
 
+def _planar(n: int, j: int) -> int:
+    # count_n8_2d(n, j) without its check; count_n18_maxcase calls this, not
+    # the public name, which callers (and the benchmark's tracer) may rebind.
+    return sum(multinomial(n, (b, j + b, n - j - 2 * b)) for b in range((n - j) // 2 + 1))
+
+
 def count_n8_2d(i: int, j: int) -> int:
     """Shortest chessboard paths from (0, 0) to (i, j) in 2D, for i >= j >= 0.
 
     The distance is i.  A path with b falling diagonals needs j+b rising
-    diagonals to land on row j, leaving i-j-2b straight moves, so each b
-    contributes the arrangement count i! / (b! (j+b)! (i-j-2b)!).
+    diagonals to land on row j, leaving i-j-2b straight moves, so the count
+    is the sum over b of multinomial(i; b, j+b, i-j-2b).
     """
     if not i >= j >= 0:
         raise ValueError(f"count_n8_2d needs i >= j >= 0, got ({i}, {j})")
-    fi = factorial(i)
-    total = 0
-    for b in range((i - j) // 2 + 1):
-        total += fi // (factorial(b) * factorial(j + b) * factorial(i - j - 2 * b))
-    return total
+    return _planar(i, j)
 
 
 def count_n18_maxcase(off: CanonicalOffset) -> int:
     """Face-edge paths when the distance equals the dominant coordinate i
     (applicable iff i >= j + k).
 
-    Every step advances x by one.  With a steps also moving -z and b steps
-    also moving -y, compensation forces k+a steps moving +z and j+b steps
-    moving +y; the remaining i-j-k-2(a+b) steps advance x alone.  Summing
-    the arrangement counts over all feasible (a, b) gives the total.
+    Every step advances x by one.  With a steps also moving -z, compensation
+    forces k+a steps moving +z, which can be placed in multinomial(i; a, k+a,
+    i-k-2a) ways.  The other i-k-2a steps carry no z-motion, so they form a
+    planar chessboard path to (i-k-2a, j); summing over a gives the total.
     """
     i, j, k = off.as_triple()
     slack = i - j - k
@@ -67,18 +71,10 @@ def count_n18_maxcase(off: CanonicalOffset) -> int:
         raise ValueError(
             f"dominant-coordinate formula needs i >= j + k, got {off.as_triple()}"
         )
-    fi = factorial(i)
-    total = 0
-    for a in range(slack // 2 + 1):
-        for b in range((slack - 2 * a) // 2 + 1):
-            total += fi // (
-                factorial(a)
-                * factorial(b)
-                * factorial(k + a)
-                * factorial(j + b)
-                * factorial(slack - 2 * (a + b))
-            )
-    return total
+    return sum(
+        multinomial(i, (a, k + a, i - k - 2 * a)) * _planar(i - k - 2 * a, j)
+        for a in range(slack // 2 + 1)
+    )
 
 
 def count_n18_halfcase(off: CanonicalOffset) -> int:
@@ -86,24 +82,25 @@ def count_n18_halfcase(off: CanonicalOffset) -> int:
     (applicable iff i <= j + k + 1).
 
     Even coordinate sum: every step advances two coordinates, and the step
-    mix is fixed, giving L! / ((L-i)! (L-j)! (L-k)!).  Odd sum: exactly one
-    step advances a single coordinate; summing that step's three possible
-    axes yields the extra weight factor.  An axis whose (L - coordinate)
-    factor is zero cannot host the single step, and contributes nothing.
+    mix is fixed, giving multinomial(L; L-i, L-j, L-k).  Odd sum: exactly
+    one step advances a single coordinate; summing that step's three
+    possible axes gives L! / ((L-i)! (L-j)! (L-k)!) times a weight.  These
+    parts add up to L+1, so that is multinomial(L+1; parts) * weight / (L+1),
+    an exact division.  An axis whose (L - coordinate) factor is zero cannot
+    host the single step, and contributes nothing to the weight.
     """
     i, j, k = off.as_triple()
     if i > j + k + 1:
         raise ValueError(
             f"half-sum formula needs i <= j + k + 1, got {off.as_triple()}"
         )
-    total = i + j + k
-    steps = (total + 1) // 2
-    den = factorial(steps - i) * factorial(steps - j) * factorial(steps - k)
-    if total % 2 == 0:
-        return factorial(steps) // den
-    ri, rj, rk = steps - i, steps - j, steps - k
+    steps = (i + j + k + 1) // 2
+    parts = (steps - i, steps - j, steps - k)
+    if (i + j + k) % 2 == 0:
+        return multinomial(steps, parts)
+    ri, rj, rk = parts
     weight = ri * rj + rj * rk + rk * ri
-    return factorial(steps) * weight // den
+    return multinomial(steps + 1, parts) * weight // (steps + 1)
 
 
 class N18Case(Enum):

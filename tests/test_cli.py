@@ -331,6 +331,15 @@ def test_help_exits_zero(capsys):
     assert "COMMAND" in out
 
 
+def test_internal_value_error_is_not_a_usage_error(monkeypatch):
+    def broken(off, neighborhood):
+        raise ValueError("internal fault")
+
+    monkeypatch.setattr("cubepaths.cli.count_paths", broken)
+    with pytest.raises(ValueError, match="internal fault"):
+        run(["count", "--to", "1,2,3", "-n", "6"])
+
+
 # -------------------------------------------------------------- module run
 
 

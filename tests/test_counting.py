@@ -6,6 +6,7 @@ separately (test_oracle.py and the acceptance suite).
 """
 
 import math
+from math import factorial
 
 import pytest
 from hypothesis import given
@@ -39,6 +40,73 @@ def _sorted_offset(a, b, c):
     return CanonicalOffset(i, j, k)
 
 
+# ------------------------------------------- direct factorial sums (reference)
+#
+# The kernels as first written: one factorial quotient per summand.  They
+# are a second reference beside the oracle, at sizes the oracle cannot reach.
+
+
+def _direct_n8_2d(i, j):
+    fi = factorial(i)
+    total = 0
+    for b in range((i - j) // 2 + 1):
+        total += fi // (factorial(b) * factorial(j + b) * factorial(i - j - 2 * b))
+    return total
+
+
+def _direct_n18_maxcase(i, j, k):
+    slack = i - j - k
+    fi = factorial(i)
+    total = 0
+    for a in range(slack // 2 + 1):
+        for b in range((slack - 2 * a) // 2 + 1):
+            total += fi // (
+                factorial(a)
+                * factorial(b)
+                * factorial(k + a)
+                * factorial(j + b)
+                * factorial(slack - 2 * (a + b))
+            )
+    return total
+
+
+def _direct_n18_halfcase(i, j, k):
+    total = i + j + k
+    steps = (total + 1) // 2
+    den = factorial(steps - i) * factorial(steps - j) * factorial(steps - k)
+    if total % 2 == 0:
+        return factorial(steps) // den
+    ri, rj, rk = steps - i, steps - j, steps - k
+    weight = ri * rj + rj * rk + rk * ri
+    return factorial(steps) * weight // den
+
+
+def test_kernels_equal_direct_sums_on_sweep():
+    for i in range(41):
+        for j in range(i + 1):
+            assert count_n8_2d(i, j) == _direct_n8_2d(i, j), (i, j)
+            for k in range(j + 1):
+                off = CanonicalOffset(i, j, k)
+                if i >= j + k:
+                    assert count_n18_maxcase(off) == _direct_n18_maxcase(i, j, k), off
+                if i <= j + k + 1:
+                    assert count_n18_halfcase(off) == _direct_n18_halfcase(i, j, k), off
+                assert count_n26(off) == _direct_n8_2d(i, j) * _direct_n8_2d(i, k), off
+
+
+@pytest.mark.parametrize("triple", [(300, 0, 0), (520, 100, 60), (400, 399, 0), (1000, 500, 250)])
+def test_maxcase_and_n26_equal_direct_sums_beyond_oracle_reach(triple):
+    i, j, k = triple
+    off = CanonicalOffset(i, j, k)
+    assert count_n18_maxcase(off) == _direct_n18_maxcase(i, j, k)
+    assert count_n26(off) == _direct_n8_2d(i, j) * _direct_n8_2d(i, k)
+
+
+@pytest.mark.parametrize("triple", [(3000, 2000, 1001), (6000, 3000, 3000)])
+def test_halfcase_equals_direct_formula_beyond_oracle_reach(triple):
+    assert count_n18_halfcase(CanonicalOffset(*triple)) == _direct_n18_halfcase(*triple)
+
+
 # ------------------------------------------------------------- multinomial
 
 
@@ -47,6 +115,15 @@ def test_multinomial_values():
     assert multinomial(3, (1, 1, 1)) == 6
     assert multinomial(9, (4, 4, 1)) == 630
     assert multinomial(5, (5,)) == 1
+
+
+@given(st.lists(st.integers(0, 60), max_size=6))
+def test_multinomial_is_the_factorial_quotient(parts):
+    n = sum(parts)
+    expected = factorial(n)
+    for p in parts:
+        expected //= factorial(p)
+    assert multinomial(n, parts) == expected
 
 
 def test_multinomial_rejects_mismatched_sum():
