@@ -25,7 +25,7 @@ from .counting import (
     count_paths,
     multinomial,
 )
-from .metrics import d6, d18, d26, distance, minkowski_distance
+from .metrics import distance
 from .oracle import (
     PathList,
     enumerate_shortest_paths,
@@ -59,13 +59,9 @@ __all__ = [
     "count_n18_maxcase",
     "count_n26",
     "count_paths",
-    "d6",
-    "d18",
-    "d26",
     "distance",
     "enumerate_shortest_paths",
     "iter_shortest_paths",
-    "minkowski_distance",
     "multinomial",
     "oracle_count",
     "oracle_count_2d",

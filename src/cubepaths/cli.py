@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from typing import Optional, Sequence
 
@@ -52,6 +53,13 @@ def _parse_point(text: str) -> GridPoint:
     try:
         x, y, z = (int(chunk) for chunk in parts)
     except ValueError:
+        if all(re.fullmatch(r"[+-]?\d(?:_?\d)*", chunk) for chunk in parts):
+            # each chunk is valid int() syntax, so CPython's digit cap on int
+            # parsing rejected it; an interpreter without the cap never gets here
+            raise argparse.ArgumentTypeError(
+                "point too large: components are limited to "
+                f"{sys.get_int_max_str_digits()} digits"
+            ) from None
         raise argparse.ArgumentTypeError(
             f"malformed point {text!r}: components must be integers"
         ) from None

@@ -74,14 +74,6 @@ class MoveStep:
         if self.dx == 0 and self.dy == 0 and self.dz == 0:
             raise ValueError("the null step is not a move")
 
-    @property
-    def weight(self) -> int:
-        """Number of coordinates the step changes."""
-        return abs(self.dx) + abs(self.dy) + abs(self.dz)
-
-    def admissible_under(self, neighborhood: Neighborhood) -> bool:
-        return self.weight <= neighborhood.step_cap
-
     def as_tuple(self) -> tuple[int, int, int]:
         return (self.dx, self.dy, self.dz)
 
@@ -102,48 +94,24 @@ class CanonicalOffset:
     """A displacement reduced by grid symmetry to i >= j >= k >= 0.
 
     Path counts are invariant under the 48 axis permutations and sign flips,
-    so every counting formula works on the canonical triple only.  ``perm``
-    maps canonical slot -> source axis and ``signs`` keeps each axis's
-    original sign, which together recover the raw displacement.
+    so every counting formula works on the canonical triple only.
     """
 
     i: int
     j: int
     k: int
-    perm: tuple[int, int, int] = (0, 1, 2)
-    signs: tuple[int, int, int] = (1, 1, 1)
 
     def __post_init__(self) -> None:
         if not self.i >= self.j >= self.k >= 0:
             raise ValueError(
                 f"canonical offset needs i >= j >= k >= 0: {(self.i, self.j, self.k)}"
             )
-        if sorted(self.perm) != [0, 1, 2]:
-            raise ValueError(f"perm must be a permutation of (0, 1, 2): {self.perm}")
-        if not all(s in (-1, 1) for s in self.signs):
-            raise ValueError(f"signs must be +1 or -1: {self.signs}")
 
     def as_triple(self) -> tuple[int, int, int]:
         return (self.i, self.j, self.k)
 
-    def raw_displacement(self) -> tuple[int, int, int]:
-        """Undo the reduction: place each magnitude back on its axis, signed."""
-        magnitudes = (self.i, self.j, self.k)
-        raw = [0, 0, 0]
-        for slot, axis in enumerate(self.perm):
-            raw[axis] = self.signs[axis] * magnitudes[slot]
-        return (raw[0], raw[1], raw[2])
-
 
 def canonicalize(p: GridPoint, q: GridPoint) -> CanonicalOffset:
-    """Reduce the displacement p - q to its canonical offset.
-
-    Magnitudes are sorted descending (ties broken by axis index, which makes
-    the reduction idempotent) and the permutation/sign record is kept so the
-    raw displacement can be reconstructed.
-    """
-    raw = p.displacement_from(q)
-    signs = tuple(1 if c >= 0 else -1 for c in raw)
-    perm = tuple(sorted((0, 1, 2), key=lambda axis: (-abs(raw[axis]), axis)))
-    i, j, k = (abs(raw[axis]) for axis in perm)
-    return CanonicalOffset(i, j, k, perm=perm, signs=signs)
+    """Reduce the displacement p - q to its canonical offset: the absolute
+    components sorted in descending order."""
+    return CanonicalOffset(*sorted(map(abs, p.displacement_from(q)), reverse=True))

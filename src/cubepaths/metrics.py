@@ -1,5 +1,4 @@
-"""Digital distances for the three connectivities, plus the real-valued
-Minkowski distance as a utility."""
+"""Digital distances for the three connectivities."""
 
 from __future__ import annotations
 
@@ -13,6 +12,9 @@ def _l1(dx: int, dy: int, dz: int) -> int:
 
 
 def _d18(dx: int, dy: int, dz: int) -> int:
+    # the larger of the dominant absolute difference and the ceiling of half
+    # the difference sum: each step advances at most two coordinates, and no
+    # step advances any coordinate by more than one
     ax, ay, az = abs(dx), abs(dy), abs(dz)
     # integer ceiling of half the coordinate sum; floats never enter here
     return max(ax, ay, az, (ax + ay + az + 1) // 2)
@@ -38,39 +40,6 @@ def displacement_metric(neighborhood: Neighborhood) -> Callable[[int, int, int],
     return _BY_NEIGHBORHOOD[neighborhood]
 
 
-def d6(p: GridPoint, q: GridPoint) -> int:
-    """Shortest-path length under face connectivity (the L1 distance)."""
-    return _l1(*p.displacement_from(q))
-
-
-def d18(p: GridPoint, q: GridPoint) -> int:
-    """Shortest-path length under face-edge connectivity.
-
-    The larger of the dominant absolute difference and the ceiling of half
-    the difference sum: each step advances at most two coordinates, and no
-    step advances any coordinate by more than one.
-    """
-    return _d18(*p.displacement_from(q))
-
-
-def d26(p: GridPoint, q: GridPoint) -> int:
-    """Shortest-path length under full connectivity (the chessboard /
-    L-infinity distance)."""
-    return _linf(*p.displacement_from(q))
-
-
 def distance(p: GridPoint, q: GridPoint, neighborhood: Neighborhood) -> int:
     """Digital distance between two points for the given connectivity."""
     return _BY_NEIGHBORHOOD[neighborhood](*p.displacement_from(q))
-
-
-def minkowski_distance(p: GridPoint, q: GridPoint, i: int) -> float:
-    """The L_i distance (|dx|^i + |dy|^i + |dz|^i)^(1/i) for i >= 1.
-
-    The one floating-point computation in the package; everything else is
-    exact integer arithmetic.
-    """
-    if i < 1:
-        raise ValueError(f"Minkowski order must be >= 1, got {i}")
-    dx, dy, dz = p.displacement_from(q)
-    return float(abs(dx) ** i + abs(dy) ** i + abs(dz) ** i) ** (1.0 / i)

@@ -36,11 +36,14 @@ class PathList:
 def oracle_count(target: GridPoint, neighborhood: Neighborhood) -> int:
     """Exact number of shortest origin-to-target paths, by layered DP.
 
-    Sweeps distance layers outward from the origin.  A point survives a
-    layer iff its distance from the origin equals the layer index and its
-    distance to the target equals the remainder, i.e. it still lies on some
-    geodesic; its count is the sum over its surviving predecessors.  The
-    DP therefore touches O((2d+1)^3) points at worst.
+    Sweeps distance layers outward from the origin to the target at
+    distance d.  A point reached in ``step`` moves survives iff its
+    distance to the target equals the remainder ``d - step``.  That one
+    test suffices: every move has length 1, so the point is at most
+    ``step`` from the origin, and the triangle inequality
+    ``d <= dist(v) + (d - step)`` makes it at least ``step``, so the point
+    lies on some geodesic.  Its count is the sum over its surviving
+    predecessors.  The DP therefore touches O((2d+1)^3) points at worst.
     """
     moves = sorted(m.as_tuple() for m in admissible_moves(neighborhood))
     return _layered_count(target.as_tuple(), moves, displacement_metric(neighborhood))
@@ -75,10 +78,7 @@ def _layered_count(
         for (ux, uy, uz), ways in layer.items():
             for mx, my, mz in moves:
                 vx, vy, vz = ux + mx, uy + my, uz + mz
-                if (
-                    dist(tx - vx, ty - vy, tz - vz) == remaining
-                    and dist(vx, vy, vz) == step
-                ):
+                if dist(tx - vx, ty - vy, tz - vz) == remaining:
                     nxt[(vx, vy, vz)] += ways
         layer = nxt
     return layer.get((tx, ty, tz), 0)
@@ -100,27 +100,28 @@ def iter_shortest_paths(
         yield ()
         return
     moves = sorted(admissible_moves(neighborhood))
-    prefix: list[MoveStep] = []
-    stack: list[tuple[tuple[int, int, int], int]] = [((0, 0, 0), 0)]
-    while stack:
-        (ux, uy, uz), next_index = stack[-1]
-        remaining = total - len(prefix)
-        if remaining == 0:
-            yield tuple(prefix)
-            stack.pop()
-            prefix.pop()
-            continue
-        descended = False
-        for index in range(next_index, len(moves)):
-            step = moves[index]
+
+    def onward(
+        ux: int, uy: int, uz: int, remaining: int
+    ) -> Iterator[tuple[MoveStep, int, int, int]]:
+        # the steps out of u that stay on a geodesic, in lexicographic order
+        for step in moves:
             vx, vy, vz = ux + step.dx, uy + step.dy, uz + step.dz
             if dist(tx - vx, ty - vy, tz - vz) == remaining - 1:
-                stack[-1] = ((ux, uy, uz), index + 1)
-                prefix.append(step)
-                stack.append(((vx, vy, vz), 0))
-                descended = True
+                yield step, vx, vy, vz
+
+    prefix: list[MoveStep] = []
+    stack = [onward(0, 0, 0, total)]
+    while stack:
+        for step, vx, vy, vz in stack[-1]:
+            prefix.append(step)
+            if len(prefix) == total:
+                yield tuple(prefix)
+                prefix.pop()
+            else:
+                stack.append(onward(vx, vy, vz, total - len(prefix)))
                 break
-        if not descended:
+        else:
             stack.pop()
             if prefix:
                 prefix.pop()

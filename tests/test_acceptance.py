@@ -17,6 +17,7 @@ from cubepaths.core import (
     CanonicalOffset,
     GridPoint,
     Neighborhood,
+    admissible_moves,
     canonicalize,
 )
 from cubepaths.counting import (
@@ -28,7 +29,7 @@ from cubepaths.counting import (
     count_n26,
     count_paths,
 )
-from cubepaths.metrics import d6, d18, d26, distance
+from cubepaths.metrics import distance
 from cubepaths.oracle import enumerate_shortest_paths, oracle_count
 from cubepaths.tables import shell_table
 from cubepaths.verify import verify_region
@@ -52,7 +53,7 @@ def test_criterion_1_worked_values():
     assert count_n18(CanonicalOffset(2, 2, 1)) == 15
     assert count_n18_maxcase(CanonicalOffset(9, 4, 4)) == 630
     assert count_n18_halfcase(CanonicalOffset(9, 4, 4)) == 630
-    assert d26(GridPoint(7, 4, 2), ORIGIN) == 7
+    assert distance(GridPoint(7, 4, 2), ORIGIN, Neighborhood.N26) == 7
     elapsed = time.perf_counter() - start
     assert elapsed < 1.0, f"worked values took {elapsed:.3f}s"
     print(f"PASS: criterion 1 - worked values reproduce exactly ({elapsed:.3f}s)")
@@ -168,7 +169,11 @@ def test_criterion_6_structural_invariants():
     for _ in range(cases):
         p = GridPoint(*(rng.randint(-10**6, 10**6) for _ in range(3)))
         q = GridPoint(*(rng.randint(-10**6, 10**6) for _ in range(3)))
-        assert d26(p, q) <= d18(p, q) <= d6(p, q)
+        assert (
+            distance(p, q, Neighborhood.N26)
+            <= distance(p, q, Neighborhood.N18)
+            <= distance(p, q, Neighborhood.N6)
+        )
 
     def f6(a, b, c):
         i, j, k = sorted((a, b, c), reverse=True)
@@ -208,7 +213,7 @@ def test_criterion_7_enumeration_consistency():
             assert len(set(listing.paths)) == len(listing.paths)
             for path in listing.paths:
                 assert len(path) == d
-                assert all(step.admissible_under(neighborhood) for step in path)
+                assert all(step in admissible_moves(neighborhood) for step in path)
                 landed = (
                     sum(step.dx for step in path),
                     sum(step.dy for step in path),

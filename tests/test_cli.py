@@ -301,6 +301,20 @@ def test_noninteger_point_components(capsys):
     assert "components must be integers" in err
 
 
+@pytest.mark.skipif(
+    not hasattr(sys, "get_int_max_str_digits"),
+    reason="this interpreter has no digit cap on int parsing",
+)
+def test_oversized_point_component_names_the_digit_cap(capsys):
+    huge = "1" + "0" * 5000
+    code, out, err = invoke(capsys, "distance", "--to", f"{huge},0,0", "-n", "6")
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert f"components are limited to {sys.get_int_max_str_digits()} digits" in err
+    assert "must be integers" not in err
+    assert huge not in err
+
+
 def test_unknown_neighborhood(capsys):
     code, _, err = invoke(capsys, "count", "--to", "1,0,0", "-n", "99")
     assert code == EXIT_USAGE

@@ -29,21 +29,17 @@ def test_canonicalize_zero_displacement():
 def test_canonicalize_sorts_absolute_values():
     off = canonicalize(GridPoint(1, -3, 2), ORIGIN)
     assert off.as_triple() == (3, 2, 1)
-    assert off.perm == (1, 2, 0)
-    assert off.signs == (1, -1, 1)
 
 
 def test_canonicalize_already_canonical():
     off = canonicalize(GridPoint(9, 5, 4), ORIGIN)
     assert off.as_triple() == (9, 5, 4)
-    assert off.perm == (0, 1, 2)
-    assert off.signs == (1, 1, 1)
 
 
 @given(points, points)
 def test_canonicalize_round_trip(p, q):
-    off = canonicalize(p, q)
-    assert off.raw_displacement() == p.displacement_from(q)
+    magnitudes = sorted((abs(c) for c in p.displacement_from(q)), reverse=True)
+    assert canonicalize(p, q).as_triple() == tuple(magnitudes)
 
 
 @given(points, points)
@@ -66,13 +62,6 @@ def test_canonical_offset_rejects_unsorted():
         CanonicalOffset(2, 1, -1)
 
 
-def test_canonical_offset_rejects_bad_symmetry_record():
-    with pytest.raises(ValueError):
-        CanonicalOffset(1, 0, 0, perm=(0, 0, 1))
-    with pytest.raises(ValueError):
-        CanonicalOffset(1, 0, 0, signs=(1, 0, 1))
-
-
 # ------------------------------------------------------------------ moves
 
 
@@ -90,12 +79,15 @@ def test_move_sets_are_nested():
 
 
 def test_face_moves_change_exactly_one_coordinate():
-    assert all(step.weight == 1 for step in admissible_moves(Neighborhood.N6))
+    assert all(
+        abs(step.dx) + abs(step.dy) + abs(step.dz) == 1
+        for step in admissible_moves(Neighborhood.N6)
+    )
 
 
 def test_full_move_set_is_every_nonzero_vector():
     m26 = admissible_moves(Neighborhood.N26)
-    assert all(step.weight in (1, 2, 3) for step in m26)
+    assert all(abs(step.dx) + abs(step.dy) + abs(step.dz) in (1, 2, 3) for step in m26)
     assert MoveStep(-1, -1, -1) in m26 and MoveStep(1, 1, 1) in m26
 
 
@@ -112,9 +104,9 @@ def test_move_step_ordering_is_lexicographic():
 
 def test_admissible_under_matches_weight():
     step = MoveStep(1, 1, 0)
-    assert not step.admissible_under(Neighborhood.N6)
-    assert step.admissible_under(Neighborhood.N18)
-    assert step.admissible_under(Neighborhood.N26)
+    assert step not in admissible_moves(Neighborhood.N6)
+    assert step in admissible_moves(Neighborhood.N18)
+    assert step in admissible_moves(Neighborhood.N26)
 
 
 # ------------------------------------------------------------ neighborhood

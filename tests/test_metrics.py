@@ -1,4 +1,4 @@
-"""Tests for the three digital distances and the Minkowski utility.
+"""Tests for the three digital distances.
 
 The load-bearing check here is the breadth-first search at the bottom: each
 closed-form distance must equal the true unweighted shortest-path length in
@@ -12,14 +12,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from cubepaths.core import ORIGIN, GridPoint, Neighborhood, admissible_moves
-from cubepaths.metrics import (
-    d6,
-    d18,
-    d26,
-    displacement_metric,
-    distance,
-    minkowski_distance,
-)
+from cubepaths.metrics import displacement_metric, distance
 
 coords = st.integers(-1000, 1000)
 points = st.builds(GridPoint, coords, coords, coords)
@@ -34,7 +27,7 @@ neighborhoods = st.sampled_from(list(Neighborhood))
     [((0, 0, 0), 0), ((2, 1, 1), 4), ((-1, 2, -3), 6), ((5, 0, 0), 5)],
 )
 def test_d6_values(target, expected):
-    assert d6(GridPoint(*target), ORIGIN) == expected
+    assert distance(GridPoint(*target), ORIGIN, Neighborhood.N6) == expected
 
 
 @pytest.mark.parametrize(
@@ -49,7 +42,7 @@ def test_d6_values(target, expected):
     ],
 )
 def test_d18_values(target, expected):
-    assert d18(GridPoint(*target), ORIGIN) == expected
+    assert distance(GridPoint(*target), ORIGIN, Neighborhood.N18) == expected
 
 
 @pytest.mark.parametrize(
@@ -57,7 +50,7 @@ def test_d18_values(target, expected):
     [((0, 0, 0), 0), ((7, 4, 2), 7), ((3, 3, 3), 3), ((-2, 1, 0), 2)],
 )
 def test_d26_values(target, expected):
-    assert d26(GridPoint(*target), ORIGIN) == expected
+    assert distance(GridPoint(*target), ORIGIN, Neighborhood.N26) == expected
 
 
 def test_distance_dispatches_per_neighborhood():
@@ -71,25 +64,6 @@ def test_displacement_metric_matches_point_form():
     for neighborhood in Neighborhood:
         fn = displacement_metric(neighborhood)
         assert fn(3, -1, 2) == distance(GridPoint(3, -1, 2), ORIGIN, neighborhood)
-
-
-# -------------------------------------------------------------- minkowski
-
-
-def test_minkowski_values():
-    assert minkowski_distance(GridPoint(3, 4, 0), ORIGIN, 2) == pytest.approx(5.0)
-    assert minkowski_distance(GridPoint(1, 1, 1), ORIGIN, 1) == pytest.approx(3.0)
-    assert minkowski_distance(ORIGIN, ORIGIN, 3) == 0.0
-
-
-def test_minkowski_rejects_order_below_one():
-    with pytest.raises(ValueError):
-        minkowski_distance(GridPoint(1, 0, 0), ORIGIN, 0)
-
-
-@given(points, points)
-def test_minkowski_order_one_is_l1(p, q):
-    assert minkowski_distance(p, q, 1) == pytest.approx(float(d6(p, q)))
 
 
 # ----------------------------------------------------- metric axioms etc.
@@ -122,7 +96,11 @@ def test_translation_invariance(p, q, t):
 
 @given(points, points)
 def test_richer_moves_never_lengthen_paths(p, q):
-    assert d26(p, q) <= d18(p, q) <= d6(p, q)
+    assert (
+        distance(p, q, Neighborhood.N26)
+        <= distance(p, q, Neighborhood.N18)
+        <= distance(p, q, Neighborhood.N6)
+    )
 
 
 # ------------------------------------- independent graph-search cross-check

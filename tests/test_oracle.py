@@ -166,6 +166,15 @@ def test_enumerate_limit_exactly_at_count_is_not_truncated():
     assert len(result.paths) == 13
 
 
+def test_enumerate_paths_deeper_than_the_recursion_limit():
+    # 3001 steps is past Python's default recursion limit of 1000, so this
+    # pins the explicit-stack depth-first search
+    result = enumerate_shortest_paths(GridPoint(3000, 1, 0), Neighborhood.N6, limit=3)
+    assert result.truncated
+    assert [len(path) for path in result.paths] == [3001, 3001, 3001]
+    assert [path[0].as_tuple() for path in result.paths] == [(0, 1, 0), (1, 0, 0), (1, 0, 0)]
+
+
 def test_enumerate_rejects_nonpositive_limit():
     with pytest.raises(ValueError):
         enumerate_shortest_paths(GridPoint(1, 0, 0), Neighborhood.N6, limit=0)
@@ -181,7 +190,7 @@ def test_paths_are_sorted_distinct_and_valid():
             assert len(set(paths)) == len(paths)
             for path in paths:
                 assert len(path) == d
-                assert all(step.admissible_under(neighborhood) for step in path)
+                assert all(step in admissible_moves(neighborhood) for step in path)
                 sx = sum(step.dx for step in path)
                 sy = sum(step.dy for step in path)
                 sz = sum(step.dz for step in path)
