@@ -8,7 +8,6 @@ Results go to stdout, diagnostics to stderr.  Exit codes: 0 success,
 from __future__ import annotations
 
 import argparse
-import json
 import re
 import sys
 from typing import Optional, Sequence
@@ -105,6 +104,8 @@ def _cmd_paths(ns: argparse.Namespace) -> int:
     target = _displacement(ns)
     listing = enumerate_shortest_paths(target, neighborhood, limit=ns.limit)
     if ns.format == "json":
+        import json  # only the JSON formats need it; see tables.to_json
+
         payload = {
             "target": list(target.as_tuple()),
             "neighborhood": neighborhood.value,
@@ -131,6 +132,8 @@ def _cmd_verify(ns: argparse.Namespace) -> int:
         raise _UsageError(f"--extent must be nonnegative, got {ns.extent}")
     reports = [verify_region(ns.extent, n) for n in _neighborhoods(ns.neighborhood)]
     if ns.format == "json":
+        import json
+
         payload = [
             {
                 "neighborhood": r.neighborhood.value,

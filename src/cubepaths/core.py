@@ -1,16 +1,19 @@
 """Value types shared by the whole package: grid points, connectivities,
-unit steps and symmetry-reduced displacements."""
+unit steps and symmetry-reduced displacements.
+
+The point, step and offset types are immutable named tuples: they unpack,
+hash and compare (lexicographically) as the plain tuple of their fields.
+"""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 from itertools import product
+from typing import NamedTuple
 
 
-@dataclass(frozen=True, order=True)
-class GridPoint:
+class GridPoint(NamedTuple):
     """A point of the cubic grid Z^3. Coordinates are unbounded."""
 
     x: int
@@ -53,8 +56,12 @@ class Neighborhood(Enum):
 _STEP_CAPS = {Neighborhood.N6: 1, Neighborhood.N18: 2, Neighborhood.N26: 3}
 
 
-@dataclass(frozen=True, order=True)
-class MoveStep:
+# a class-syntax NamedTuple may not define __new__, so the validating types
+# below subclass the functional form and check their fields in __new__; their
+# _make (which _replace calls) goes through that check too
+
+
+class MoveStep(NamedTuple("MoveStep", [("dx", int), ("dy", int), ("dz", int)])):
     """A single step between neighboring grid points.
 
     Each component is -1, 0 or +1 and at least one is nonzero.  Steps order
@@ -62,17 +69,18 @@ class MoveStep:
     relies on that ordering.
     """
 
-    dx: int
-    dy: int
-    dz: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not all(c in (-1, 0, 1) for c in (self.dx, self.dy, self.dz)):
-            raise ValueError(
-                f"step components must be -1, 0 or 1: {(self.dx, self.dy, self.dz)}"
-            )
-        if self.dx == 0 and self.dy == 0 and self.dz == 0:
+    def __new__(cls, dx: int, dy: int, dz: int) -> MoveStep:
+        if not all(c in (-1, 0, 1) for c in (dx, dy, dz)):
+            raise ValueError(f"step components must be -1, 0 or 1: {(dx, dy, dz)}")
+        if dx == 0 and dy == 0 and dz == 0:
             raise ValueError("the null step is not a move")
+        return super().__new__(cls, dx, dy, dz)
+
+    @classmethod
+    def _make(cls, iterable) -> MoveStep:
+        return cls(*iterable)
 
     def as_tuple(self) -> tuple[int, int, int]:
         return (self.dx, self.dy, self.dz)
@@ -89,23 +97,23 @@ def admissible_moves(neighborhood: Neighborhood) -> frozenset[MoveStep]:
     )
 
 
-@dataclass(frozen=True)
-class CanonicalOffset:
+class CanonicalOffset(NamedTuple("CanonicalOffset", [("i", int), ("j", int), ("k", int)])):
     """A displacement reduced by grid symmetry to i >= j >= k >= 0.
 
     Path counts are invariant under the 48 axis permutations and sign flips,
     so every counting formula works on the canonical triple only.
     """
 
-    i: int
-    j: int
-    k: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not self.i >= self.j >= self.k >= 0:
-            raise ValueError(
-                f"canonical offset needs i >= j >= k >= 0: {(self.i, self.j, self.k)}"
-            )
+    def __new__(cls, i: int, j: int, k: int) -> CanonicalOffset:
+        if not i >= j >= k >= 0:
+            raise ValueError(f"canonical offset needs i >= j >= k >= 0: {(i, j, k)}")
+        return super().__new__(cls, i, j, k)
+
+    @classmethod
+    def _make(cls, iterable) -> CanonicalOffset:
+        return cls(*iterable)
 
     def as_triple(self) -> tuple[int, int, int]:
         return (self.i, self.j, self.k)

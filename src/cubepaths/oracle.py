@@ -10,8 +10,7 @@ against plain BFS in their own tests.
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass
-from typing import Callable, Iterator
+from typing import Callable, Iterator, NamedTuple
 
 from .core import GridPoint, MoveStep, Neighborhood, admissible_moves
 from .metrics import displacement_metric
@@ -19,8 +18,7 @@ from .metrics import displacement_metric
 DEFAULT_ENUMERATION_LIMIT = 10_000
 
 
-@dataclass(frozen=True)
-class PathList:
+class PathList(NamedTuple):
     """Shortest paths to ``target``, each an ordered step sequence.
 
     Paths are pairwise distinct and listed in lexicographic step order;

@@ -7,10 +7,6 @@ fixed-width integer almost immediately.
 
 from __future__ import annotations
 
-import csv
-import io
-import json
-from dataclasses import dataclass
 from itertools import permutations, product
 from typing import NamedTuple, Optional
 
@@ -25,8 +21,7 @@ class TableEntry(NamedTuple):
     count: int
 
 
-@dataclass(frozen=True)
-class CountTable:
+class CountTable(NamedTuple):
     """Rows of (point, distance, count), sorted lexicographically by point.
 
     Shell tables carry their neighborhood and requested length (every row
@@ -120,12 +115,13 @@ def decimal_string(value: int) -> str:
 
 
 def _delimited(table: CountTable, delimiter: str) -> str:
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, delimiter=delimiter, lineterminator="\n")
-    writer.writerow(_COLUMNS)
-    for point, dist, count in table.entries:
-        writer.writerow([point.x, point.y, point.z, dist, decimal_string(count)])
-    return buffer.getvalue()
+    # every cell is an integer or a decimal string, so none needs quoting
+    rows = [delimiter.join(_COLUMNS) + "\n"]
+    rows.extend(
+        delimiter.join((str(x), str(y), str(z), str(dist), decimal_string(count))) + "\n"
+        for (x, y, z), dist, count in table.entries
+    )
+    return "".join(rows)
 
 
 def to_csv(table: CountTable) -> str:
@@ -140,6 +136,8 @@ def to_tsv(table: CountTable) -> str:
 
 def to_json(table: CountTable) -> str:
     """Serialize as a JSON array of {point, distance, count} objects."""
+    import json  # only JSON output needs it; a bare count request skips the import
+
     rows = [
         {
             "point": [point.x, point.y, point.z],

@@ -6,7 +6,7 @@ counting module (their independence is the point of the cross-check).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .core import CanonicalOffset, GridPoint, Neighborhood
 from .counting import (
@@ -19,8 +19,7 @@ from .counting import (
 from .oracle import oracle_count
 
 
-@dataclass(frozen=True)
-class VerifyReport:
+class VerifyReport(NamedTuple):
     """Outcome of one sweep; empty ``mismatches`` means every formula value
     equaled the search oracle on the box."""
 

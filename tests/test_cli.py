@@ -357,14 +357,31 @@ def test_internal_value_error_is_not_a_usage_error(monkeypatch):
 # -------------------------------------------------------------- module run
 
 
-def test_python_dash_m_runs_the_cli():
-    # run the package under test, wherever it was imported from
-    source_root = str(Path(cubepaths.__file__).resolve().parents[1])
-    proc = subprocess.run(
-        [sys.executable, "-m", "cubepaths", "count", "--to", "0,3,0", "-n", "18"],
+# run the package under test, wherever it was imported from
+SOURCE_ROOT = str(Path(cubepaths.__file__).resolve().parents[1])
+
+
+def _child(*args):
+    return subprocess.run(
+        [sys.executable, *args],
         capture_output=True,
         text=True,
         timeout=60,
-        env={**os.environ, "PYTHONPATH": source_root},
+        env={**os.environ, "PYTHONPATH": SOURCE_ROOT},
     )
+
+
+def test_python_dash_m_runs_the_cli():
+    proc = _child("-m", "cubepaths", "count", "--to", "0,3,0", "-n", "18")
     assert (proc.returncode, proc.stdout, proc.stderr) == (EXIT_OK, "13\n", "")
+
+
+def test_cli_import_loads_no_module_a_count_request_does_not_need():
+    # a fresh interpreter's modules, minus what a bare one (site) already has
+    listing = "import sys; print('\\n'.join(sorted(sys.modules)))"
+    bare = _child("-c", listing)
+    cli = _child("-c", "import cubepaths.cli; " + listing)
+    assert bare.returncode == cli.returncode == 0, bare.stderr + cli.stderr
+    added = set(cli.stdout.split()) - set(bare.stdout.split())
+    assert "cubepaths.cli" in added
+    assert not added & {"dataclasses", "inspect", "csv", "json"}

@@ -1,5 +1,8 @@
 """Tests for the shared value types: points, neighborhoods, moves, offsets."""
 
+import copy
+import pickle
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -122,3 +125,83 @@ def test_neighborhood_from_token_rejects_unknown():
         Neighborhood.from_token("8")
     with pytest.raises(ValueError):
         Neighborhood.from_token("six")
+
+
+# ---------------------------------------------------- value-type contract
+
+
+# (type, fields, components) of one value per validated or ordered type
+VALUES = [
+    (GridPoint, ("x", "y", "z"), (1, -2, 3)),
+    (MoveStep, ("dx", "dy", "dz"), (-1, 0, 1)),
+    (CanonicalOffset, ("i", "j", "k"), (5, 2, 0)),
+]
+VALUE_IDS = [kind.__name__ for kind, _, _ in VALUES]
+
+
+def test_value_type_reprs():
+    assert repr(GridPoint(1, -2, 3)) == "GridPoint(x=1, y=-2, z=3)"
+    assert repr(MoveStep(-1, 0, 1)) == "MoveStep(dx=-1, dy=0, dz=1)"
+    assert repr(CanonicalOffset(5, 2, 0)) == "CanonicalOffset(i=5, j=2, k=0)"
+
+
+@pytest.mark.parametrize("kind,fields,components", VALUES, ids=VALUE_IDS)
+def test_value_types_are_immutable(kind, fields, components):
+    value = kind(*components)
+    for field in fields:
+        with pytest.raises(AttributeError):
+            setattr(value, field, 0)
+    assert tuple(getattr(value, field) for field in fields) == components
+
+
+@pytest.mark.parametrize("kind,fields,components", VALUES, ids=VALUE_IDS)
+def test_equal_values_hash_equal(kind, fields, components):
+    value, twin = kind(*components), kind(*components)
+    assert twin == value and twin is not value
+    assert hash(twin) == hash(value)
+    assert len({value, twin}) == 1
+
+
+@pytest.mark.parametrize("neighborhood", list(Neighborhood))
+def test_sorted_moves_are_in_lexicographic_component_order(neighborhood):
+    moves = sorted(admissible_moves(neighborhood))
+    triples = [(m.dx, m.dy, m.dz) for m in moves]
+    assert triples == sorted(triples)
+    assert [m.as_tuple() for m in moves] == triples
+
+
+def test_validation_messages_are_unchanged():
+    with pytest.raises(ValueError, match=r"^step components must be -1, 0 or 1: \(2, 0, 0\)$"):
+        MoveStep(2, 0, 0)
+    with pytest.raises(ValueError, match="^the null step is not a move$"):
+        MoveStep(0, 0, 0)
+    with pytest.raises(
+        ValueError, match=r"^canonical offset needs i >= j >= k >= 0: \(1, 2, 3\)$"
+    ):
+        CanonicalOffset(1, 2, 3)
+
+
+@pytest.mark.parametrize("kind,fields,components", VALUES, ids=VALUE_IDS)
+def test_pickle_and_copy_round_trip(kind, fields, components):
+    value = kind(*components)
+    for twin in (pickle.loads(pickle.dumps(value)), copy.copy(value), copy.deepcopy(value)):
+        assert twin == value and type(twin) is type(value)
+
+
+def test_keyword_construction_still_validates():
+    assert MoveStep(dx=0, dy=1, dz=0) == MoveStep(0, 1, 0)
+    with pytest.raises(ValueError):
+        CanonicalOffset(i=1, j=2, k=3)
+    with pytest.raises(ValueError):
+        MoveStep(dx=0, dy=0, dz=0)
+
+
+def test_named_tuple_helpers_still_validate():
+    assert MoveStep(1, 0, 0)._replace(dy=1) == MoveStep(1, 1, 0)
+    assert CanonicalOffset._make((4, 4, 0)) == CanonicalOffset(4, 4, 0)
+    with pytest.raises(ValueError):
+        MoveStep(1, 0, 0)._replace(dx=0)
+    with pytest.raises(ValueError):
+        CanonicalOffset(3, 2, 1)._replace(k=5)
+    with pytest.raises(ValueError):
+        MoveStep._make((0, 2, 0))

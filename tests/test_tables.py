@@ -1,5 +1,7 @@
 """Tests for shell/slice table building and its serializers."""
 
+import csv
+import io
 import json
 import random
 
@@ -262,3 +264,26 @@ def test_to_text_beyond_the_cap():
     assert header.split() == ["i", "j", "k", "distance", "count"]
     assert row.split() == ["1", "0", "0", "1", HUGE_DIGITS]
     assert len(header) == len(row)
+
+
+# ------------------------------------------- parity with the csv module
+
+
+def _csv_module_reference(table, delimiter):
+    """The same rows through the stdlib csv writer, as the reference."""
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, delimiter=delimiter, lineterminator="\n")
+    writer.writerow(("i", "j", "k", "distance", "count"))
+    for point, dist, count in table.entries:
+        writer.writerow([point.x, point.y, point.z, dist, decimal_string(count)])
+    return buffer.getvalue()
+
+
+@pytest.mark.parametrize(
+    "table",
+    [shell_table(Neighborhood.N26, 3, expand_symmetry=True), _huge_table()],
+    ids=["n26-shell-3-expanded", "beyond-the-cap"],
+)
+def test_delimited_serializers_match_the_csv_module(table):
+    assert to_csv(table) == _csv_module_reference(table, ",")
+    assert to_tsv(table) == _csv_module_reference(table, "\t")
