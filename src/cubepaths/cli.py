@@ -31,6 +31,7 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_MISMATCH = 2
 
+_TOKENS = ("6", "18", "26")
 _ALL = (Neighborhood.N6, Neighborhood.N18, Neighborhood.N26)
 
 
@@ -72,28 +73,25 @@ def _neighborhoods(token: str) -> tuple[Neighborhood, ...]:
 
 
 def _displacement(ns: argparse.Namespace) -> GridPoint:
-    dx, dy, dz = ns.target.displacement_from(ns.origin)
-    return GridPoint(dx, dy, dz)
-
-
-def _print_values(pairs: Sequence[tuple[Neighborhood, int]]) -> None:
-    # single neighborhood: exactly one decimal integer, scriptable;
-    # "all": one labeled line per neighborhood
-    if len(pairs) == 1:
-        print(decimal_string(pairs[0][1]))
-    else:
-        for neighborhood, value in pairs:
-            print(f"{neighborhood.value}\t{decimal_string(value)}")
+    return GridPoint(*ns.target.displacement_from(ns.origin))
 
 
 # ---------------------------------------------------------------- commands
 
 
 def _cmd_values(ns: argparse.Namespace) -> int:
-    # each subcommand sets ns.value(ns, n); it looks distance, count_paths,
+    # each value command sets ns.value(ns, n); it looks distance, count_paths,
     # canonicalize and oracle_count up as module globals at call time, so a
     # rebinding of those names here (a tracer, a test) takes effect
-    _print_values([(n, ns.value(ns, n)) for n in _neighborhoods(ns.neighborhood)])
+    neighborhoods = _neighborhoods(ns.neighborhood)
+    values = [decimal_string(ns.value(ns, n)) for n in neighborhoods]
+    # single neighborhood: exactly one decimal integer, scriptable;
+    # "all": one labeled line per neighborhood
+    if len(values) == 1:
+        print(values[0])
+    else:
+        for neighborhood, value in zip(neighborhoods, values):
+            print(f"{neighborhood.value}\t{value}")
     return EXIT_OK
 
 
@@ -107,13 +105,11 @@ def _cmd_paths(ns: argparse.Namespace) -> int:
         import json  # only the JSON formats need it; see tables.to_json
 
         payload = {
-            "target": list(target.as_tuple()),
+            "target": target,
             "neighborhood": neighborhood.value,
             "distance": distance(ns.origin, ns.target, neighborhood),
             "truncated": listing.truncated,
-            "paths": [
-                [list(step.as_tuple()) for step in path] for path in listing.paths
-            ],
+            "paths": listing.paths,
         }
         print(json.dumps(payload))
     else:
@@ -141,7 +137,7 @@ def _cmd_verify(ns: argparse.Namespace) -> int:
                 "checked": r.checked,
                 "mismatches": [
                     {
-                        "point": list(point.as_tuple()),
+                        "point": point,
                         "formula": decimal_string(formula),
                         "oracle": decimal_string(oracle),
                     }
@@ -191,8 +187,10 @@ def _cmd_table(ns: argparse.Namespace) -> int:
 # ------------------------------------------------------------------ parser
 
 
-def _add_endpoints(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
+def _endpoint_parser(sub, name: str, help: str, allow_all: bool) -> argparse.ArgumentParser:
+    # the shape shared by distance, count, oracle and paths
+    p = sub.add_parser(name, help=help)
+    p.add_argument(
         "--from",
         dest="origin",
         type=_parse_point,
@@ -200,7 +198,7 @@ def _add_endpoints(parser: argparse.ArgumentParser) -> None:
         metavar="X,Y,Z",
         help="source point (default 0,0,0)",
     )
-    parser.add_argument(
+    p.add_argument(
         "--to",
         dest="target",
         type=_parse_point,
@@ -208,11 +206,9 @@ def _add_endpoints(parser: argparse.ArgumentParser) -> None:
         metavar="X,Y,Z",
         help="destination point",
     )
-
-
-def _add_neighborhood(parser: argparse.ArgumentParser, allow_all: bool, **kwargs) -> None:
-    choices = ("6", "18", "26", "all") if allow_all else ("6", "18", "26")
-    parser.add_argument("-n", "--neighborhood", choices=choices, **kwargs)
+    tokens = _TOKENS + ("all",) if allow_all else _TOKENS
+    p.add_argument("-n", "--neighborhood", choices=tokens, required=True)
+    return p
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -225,27 +221,27 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True, metavar="COMMAND")
 
-    p = sub.add_parser("distance", help="digital distance between two points")
-    _add_endpoints(p)
-    _add_neighborhood(p, allow_all=True, required=True)
-    p.set_defaults(handler=_cmd_values, value=lambda ns, n: distance(ns.origin, ns.target, n))
+    for name, help, value in (
+        (
+            "distance",
+            "digital distance between two points",
+            lambda ns, n: distance(ns.origin, ns.target, n),
+        ),
+        (
+            "count",
+            "closed-form number of shortest paths",
+            lambda ns, n: count_paths(canonicalize(ns.target, ns.origin), n),
+        ),
+        (
+            "oracle",
+            "number of shortest paths by graph search",
+            lambda ns, n: oracle_count(_displacement(ns), n),
+        ),
+    ):
+        p = _endpoint_parser(sub, name, help, allow_all=True)
+        p.set_defaults(handler=_cmd_values, value=value)
 
-    p = sub.add_parser("count", help="closed-form number of shortest paths")
-    _add_endpoints(p)
-    _add_neighborhood(p, allow_all=True, required=True)
-    p.set_defaults(
-        handler=_cmd_values,
-        value=lambda ns, n: count_paths(canonicalize(ns.target, ns.origin), n),
-    )
-
-    p = sub.add_parser("oracle", help="number of shortest paths by graph search")
-    _add_endpoints(p)
-    _add_neighborhood(p, allow_all=True, required=True)
-    p.set_defaults(handler=_cmd_values, value=lambda ns, n: oracle_count(_displacement(ns), n))
-
-    p = sub.add_parser("paths", help="list shortest paths as step sequences")
-    _add_endpoints(p)
-    _add_neighborhood(p, allow_all=False, required=True)
+    p = _endpoint_parser(sub, "paths", "list shortest paths as step sequences", allow_all=False)
     p.add_argument(
         "--limit",
         type=int,
@@ -257,12 +253,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="sweep formulas against the oracle")
     p.add_argument("--extent", type=int, default=5, help="canonical box size (default 5)")
-    _add_neighborhood(p, allow_all=True, default="all")
+    p.add_argument("-n", "--neighborhood", choices=_TOKENS + ("all",), default="all")
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.set_defaults(handler=_cmd_verify)
 
     p = sub.add_parser("table", help="export count tables (shells or 2D slice)")
-    _add_neighborhood(p, allow_all=False)
+    p.add_argument("-n", "--neighborhood", choices=_TOKENS)
     p.add_argument("--length", type=int, help="digital distance of the shell")
     p.add_argument(
         "--expand-symmetry",
@@ -287,16 +283,12 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     try:
         ns = parser.parse_args(argv)
+        return ns.handler(ns)
     except _UsageError as exc:
         print(f"cubepaths: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except SystemExit as exc:  # --help
         return EXIT_OK if exc.code in (0, None) else EXIT_USAGE
-    try:
-        return ns.handler(ns)
-    except _UsageError as exc:
-        print(f"cubepaths: error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
 
 
 def main() -> None:

@@ -38,11 +38,6 @@ class Neighborhood(Enum):
     N18 = 18
     N26 = 26
 
-    @property
-    def step_cap(self) -> int:
-        """How many coordinates a single step may change."""
-        return _STEP_CAPS[self]
-
     @classmethod
     def from_token(cls, token: "str | int") -> "Neighborhood":
         try:
@@ -53,6 +48,7 @@ class Neighborhood(Enum):
             ) from None
 
 
+# how many coordinates a single step may change
 _STEP_CAPS = {Neighborhood.N6: 1, Neighborhood.N18: 2, Neighborhood.N26: 3}
 
 
@@ -93,7 +89,7 @@ def admissible_moves(neighborhood: Neighborhood) -> frozenset[MoveStep]:
         MoveStep(dx, dy, dz)
         for dx, dy, dz in product((-1, 0, 1), repeat=3)
         if (dx, dy, dz) != (0, 0, 0)
-        and abs(dx) + abs(dy) + abs(dz) <= neighborhood.step_cap
+        and abs(dx) + abs(dy) + abs(dz) <= _STEP_CAPS[neighborhood]
     )
 
 

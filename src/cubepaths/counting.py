@@ -128,12 +128,10 @@ def count_n18(off: CanonicalOffset, check_overlap: bool = False) -> int:
     disagreement (impossible unless a formula is broken) raises.
     """
     case = classify_n18(off)
-    if case is N18Case.MAX_CASE:
-        return count_n18_maxcase(off)
     if case is N18Case.HALF_CASE:
         return count_n18_halfcase(off)
     value = count_n18_maxcase(off)
-    if check_overlap:
+    if check_overlap and case is N18Case.OVERLAP:
         other = count_n18_halfcase(off)
         if other != value:
             raise AssertionError(

@@ -10,6 +10,7 @@ against plain BFS in their own tests.
 from __future__ import annotations
 
 from collections import defaultdict
+from itertools import islice
 from typing import Callable, Iterator, NamedTuple
 
 from .core import GridPoint, MoveStep, Neighborhood, admissible_moves
@@ -67,8 +68,6 @@ def _layered_count(
 ) -> int:
     tx, ty, tz = target
     total = dist(tx, ty, tz)
-    if total == 0:
-        return 1
     layer: dict[tuple[int, int, int], int] = {(0, 0, 0): 1}
     for step in range(1, total + 1):
         remaining = total - step
@@ -138,16 +137,10 @@ def enumerate_shortest_paths(
     """
     if limit < 1:
         raise ValueError(f"limit must be positive, got {limit}")
-    collected: list[tuple[MoveStep, ...]] = []
-    truncated = False
-    for path in iter_shortest_paths(target, neighborhood):
-        if len(collected) == limit:
-            truncated = True
-            break
-        collected.append(path)
+    paths = tuple(islice(iter_shortest_paths(target, neighborhood), limit + 1))
     return PathList(
         target=target,
         neighborhood=neighborhood,
-        paths=tuple(collected),
-        truncated=truncated,
+        paths=paths[:limit],
+        truncated=len(paths) > limit,
     )

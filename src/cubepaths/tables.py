@@ -89,7 +89,6 @@ def slice_table_2d(max_i: int) -> CountTable:
         for i in range(max_i + 1)
         for j in range(i + 1)
     ]
-    entries.sort(key=lambda entry: entry.point)
     return CountTable(neighborhood=None, length=None, entries=tuple(entries))
 
 
@@ -114,14 +113,17 @@ def decimal_string(value: int) -> str:
     return sign + decimal_string(high) + decimal_string(low).zfill(width)
 
 
+def _cells(table: CountTable) -> list[tuple[str, ...]]:
+    # the header row, then the five cells of each entry as text
+    return [_COLUMNS] + [
+        (str(x), str(y), str(z), str(dist), decimal_string(count))
+        for (x, y, z), dist, count in table.entries
+    ]
+
+
 def _delimited(table: CountTable, delimiter: str) -> str:
     # every cell is an integer or a decimal string, so none needs quoting
-    rows = [delimiter.join(_COLUMNS) + "\n"]
-    rows.extend(
-        delimiter.join((str(x), str(y), str(z), str(dist), decimal_string(count))) + "\n"
-        for (x, y, z), dist, count in table.entries
-    )
-    return "".join(rows)
+    return "".join(delimiter.join(row) + "\n" for row in _cells(table))
 
 
 def to_csv(table: CountTable) -> str:
@@ -140,7 +142,7 @@ def to_json(table: CountTable) -> str:
 
     rows = [
         {
-            "point": [point.x, point.y, point.z],
+            "point": point,
             "distance": dist,
             "count": decimal_string(count),
         }
@@ -151,16 +153,7 @@ def to_json(table: CountTable) -> str:
 
 def to_text(table: CountTable) -> str:
     """Render as an aligned human-readable table."""
-    rows = [
-        (str(point.x), str(point.y), str(point.z), str(dist), decimal_string(count))
-        for point, dist, count in table.entries
-    ]
-    widths = [
-        max(len(header), *(len(row[col]) for row in rows)) if rows else len(header)
-        for col, header in enumerate(_COLUMNS)
-    ]
-    lines = ["  ".join(h.rjust(w) for h, w in zip(_COLUMNS, widths))]
-    lines.extend(
-        "  ".join(cell.rjust(w) for cell, w in zip(row, widths)) for row in rows
-    )
+    rows = _cells(table)
+    widths = [max(map(len, column)) for column in zip(*rows)]
+    lines = ("  ".join(cell.rjust(w) for cell, w in zip(row, widths)) for row in rows)
     return "\n".join(lines) + "\n"

@@ -1,0 +1,134 @@
+"""The CLI contract, byte for byte: the stdout, stderr and exit code of every
+invocation stored in ``tests/data/cli_contract.json``, replayed through run().
+
+A change that means to alter the contract regenerates the golden file in
+the same change and says so:
+
+    PYTHONPATH=src python tests/test_cli_contract.py
+"""
+
+import io
+import json
+import os
+import sys
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
+
+import pytest
+
+from cubepaths.cli import run
+
+GOLDEN = Path(__file__).parent / "data" / "cli_contract.json"
+
+
+def invocations() -> list[list[str]]:
+    """The argument lists the golden file records, in its order."""
+    cases = []
+    targets = ("0,0,0", "1,0,0", "1,-3,2", "7,4,2", "9,5,4", "12,-3,3")
+    for command in ("distance", "count", "oracle"):
+        for target in targets:
+            for n in ("6", "18", "26", "all"):
+                cases.append([command, "--to", target, "-n", n])
+                cases.append([command, "--from", "2,-1,3", "--to", target, "-n", n])
+    cases.append(["count", "--to", "6000,3000,1500", "-n", "6"])
+
+    huge = "1" + "0" * 5000
+    for command in ("distance", "count", "oracle", "paths"):
+        cases += [
+            [command, "--to", "badpoint", "-n", "6"],
+            [command, "--to", "1,2.5,0", "-n", "6"],
+            [command, "--to", "1,2", "-n", "6"],
+            [command, "--from", "x,0,0", "--to", "1,2,3", "-n", "6"],
+            [command, "--to", "1,2,3", "-n", "7"],
+            [command, "-n", "6"],
+            [command, "--to", "1,2,3"],
+        ]
+    cases += [
+        ["distance", "--to", f"{huge},0,0", "-n", "6"],
+        ["count", "--to", "-12,3,3", "-n", "18"],
+        ["count", "--to=-12,3,3", "-n", "18"],
+        ["paths", "--to", "1,1,1", "-n", "all"],
+        [],
+        ["bench"],
+        ["--help"],
+    ]
+    cases += [
+        [command, "--help"]
+        for command in ("distance", "count", "oracle", "paths", "verify", "table")
+    ]
+
+    for target in ("1,1,1", "3,-1,1"):
+        for n in ("6", "18", "26"):
+            for fmt in ("text", "json"):
+                for limit in ("1", "5", "10000"):
+                    cases.append(["paths", "--to", target, "-n", n, "--format", fmt, "--limit", limit])
+    cases += [
+        ["paths", "--to", "0,0,0", "-n", "26"],
+        ["paths", "--from", "1,1,1", "--to", "2,3,1", "-n", "18"],
+        ["paths", "--to", "1,1,1", "-n", "6", "--limit", "0"],
+        ["paths", "--to", "1,1,1", "-n", "6", "--format", "csv"],
+    ]
+
+    for n in ("6", "18", "26", "all"):
+        cases.append(["verify", "-n", n])
+        cases.append(["verify", "-n", n, "--format", "json", "--extent", "3"])
+    cases += [["verify", "--extent", "0"], ["verify", "--extent", "-1"]]
+
+    for fmt in ("text", "csv", "tsv", "json"):
+        for n in ("6", "18", "26"):
+            for length in ("0", "3"):
+                cases.append(["table", "-n", n, "--length", length, "--format", fmt])
+            cases.append(["table", "-n", n, "--length", "2", "--expand-symmetry", "--format", fmt])
+        for max_i in ("0", "4"):
+            cases.append(["table", "--slice-2d", max_i, "--format", fmt])
+    cases += [
+        ["table", "-n", "18", "--length", "3"],
+        ["table", "--slice-2d", "2", "-n", "6"],
+        ["table", "--slice-2d", "2", "--length", "3"],
+        ["table", "--slice-2d", "2", "--expand-symmetry"],
+        ["table", "--slice-2d", "-1"],
+        ["table", "--length", "3"],
+        ["table", "-n", "6"],
+        ["table"],
+        ["table", "-n", "6", "--length", "-1"],
+        ["table", "-n", "all", "--length", "3"],
+        ["table", "-n", "6", "--length", "3", "--format", "xml"],
+    ]
+    return cases
+
+
+def invoke(args: list[str]) -> dict:
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with redirect_stdout(stdout), redirect_stderr(stderr):
+        code = run(args)
+    return {"args": args, "code": code, "stdout": stdout.getvalue(), "stderr": stderr.getvalue()}
+
+
+def _case_id(entry: dict) -> str:
+    text = " ".join(entry["args"]) or "(no arguments)"
+    return text if len(text) <= 60 else text[:57] + "..."
+
+
+def pytest_generate_tests(metafunc):
+    # read at collection, so that regenerating never needs the old file
+    if "entry" in metafunc.fixturenames:
+        golden = json.loads(GOLDEN.read_text(encoding="utf-8"))
+        metafunc.parametrize("entry", golden, ids=_case_id)
+
+
+def test_cli_output_matches_the_golden_file(entry, monkeypatch):
+    if sys.version_info >= (3, 13) and entry["args"][1:] == ["--help"]:
+        # 3.13's argparse lists a short and long option with choices once:
+        # "-n, --neighborhood {...}" instead of repeating the choices
+        pytest.skip("subcommand help is formatted differently from Python 3.13 on")
+    monkeypatch.setenv("COLUMNS", "80")  # help text wraps at the terminal width
+    assert invoke(entry["args"]) == entry
+
+
+if __name__ == "__main__":
+    os.environ["COLUMNS"] = "80"
+    corpus = [invoke(args) for args in invocations()]
+    GOLDEN.parent.mkdir(exist_ok=True)
+    lines = ",\n".join(json.dumps(entry) for entry in corpus)
+    GOLDEN.write_text(f"[\n{lines}\n]\n", encoding="utf-8")
+    print(f"wrote {len(corpus)} invocations to {GOLDEN}")
