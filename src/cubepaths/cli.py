@@ -12,7 +12,7 @@ import re
 import sys
 from typing import Optional, Sequence
 
-from .core import GridPoint, Neighborhood, canonicalize
+from .core import ORIGIN, GridPoint, Neighborhood, canonicalize
 from .counting import count_paths
 from .metrics import distance
 from .oracle import DEFAULT_ENUMERATION_LIMIT, enumerate_shortest_paths, oracle_count
@@ -40,10 +40,28 @@ class _UsageError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, **kwargs):
+        super().__init__(**kwargs)
+        # argparse reads a word after an option as its value only if the word
+        # does not look like an option; "-12,3,3" does, unlike a plain "-12",
+        # so a point with a negative first component is let through too
+        self._negative_number_matcher = re.compile(
+            self._negative_number_matcher.pattern + r"|^-\d[\d_]*,"
+        )
+
     # argparse exits with code 2 on bad usage; this CLI reserves 2 for
     # verification mismatches, so route parse errors through exit code 1
     def error(self, message: str):
         raise _UsageError(message)
+
+    def _check_value(self, action, value):
+        # argparse words this error with repr() in some releases and with
+        # str() in others (3.13.13 among them); the CLI keeps the repr wording
+        if action.choices is not None and value not in action.choices:
+            choices = ", ".join(map(repr, action.choices))
+            raise argparse.ArgumentError(
+                action, f"invalid choice: {value!r} (choose from {choices})"
+            )
 
 
 def _parse_point(text: str) -> GridPoint:
@@ -67,9 +85,8 @@ def _parse_point(text: str) -> GridPoint:
 
 
 def _neighborhoods(token: str) -> tuple[Neighborhood, ...]:
-    if token == "all":
-        return _ALL
-    return (Neighborhood.from_token(token),)
+    # the parsers' choices admit only "all" and the tokens "6", "18", "26"
+    return _ALL if token == "all" else (Neighborhood(int(token)),)
 
 
 def _displacement(ns: argparse.Namespace) -> GridPoint:
@@ -98,7 +115,7 @@ def _cmd_values(ns: argparse.Namespace) -> int:
 def _cmd_paths(ns: argparse.Namespace) -> int:
     if ns.limit < 1:
         raise _UsageError(f"--limit must be positive, got {ns.limit}")
-    neighborhood = Neighborhood.from_token(ns.neighborhood)
+    (neighborhood,) = _neighborhoods(ns.neighborhood)
     target = _displacement(ns)
     listing = enumerate_shortest_paths(target, neighborhood, limit=ns.limit)
     if ns.format == "json":
@@ -173,11 +190,8 @@ def _cmd_table(ns: argparse.Namespace) -> int:
             raise _UsageError("table requires -n and --length (or --slice-2d MAX_I)")
         if ns.length < 0:
             raise _UsageError(f"--length must be nonnegative, got {ns.length}")
-        table = shell_table(
-            Neighborhood.from_token(ns.neighborhood),
-            ns.length,
-            expand_symmetry=ns.expand_symmetry,
-        )
+        (neighborhood,) = _neighborhoods(ns.neighborhood)
+        table = shell_table(neighborhood, ns.length, expand_symmetry=ns.expand_symmetry)
     renderer = {"text": to_text, "csv": to_csv, "tsv": to_tsv, "json": to_json}[ns.format]
     output = renderer(table)
     sys.stdout.write(output if output.endswith("\n") else output + "\n")
@@ -194,7 +208,7 @@ def _endpoint_parser(sub, name: str, help: str, allow_all: bool) -> argparse.Arg
         "--from",
         dest="origin",
         type=_parse_point,
-        default=GridPoint(0, 0, 0),
+        default=ORIGIN,
         metavar="X,Y,Z",
         help="source point (default 0,0,0)",
     )

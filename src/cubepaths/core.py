@@ -38,15 +38,6 @@ class Neighborhood(Enum):
     N18 = 18
     N26 = 26
 
-    @classmethod
-    def from_token(cls, token: "str | int") -> "Neighborhood":
-        try:
-            return cls(int(token))
-        except ValueError:
-            raise ValueError(
-                f"unknown neighborhood {token!r}: expected 6, 18 or 26"
-            ) from None
-
 
 # how many coordinates a single step may change
 _STEP_CAPS = {Neighborhood.N6: 1, Neighborhood.N18: 2, Neighborhood.N26: 3}

@@ -20,14 +20,12 @@ DEFAULT_ENUMERATION_LIMIT = 10_000
 
 
 class PathList(NamedTuple):
-    """Shortest paths to ``target``, each an ordered step sequence.
+    """Shortest paths, each an ordered step sequence.
 
     Paths are pairwise distinct and listed in lexicographic step order;
     ``truncated`` is True iff more paths exist than were collected.
     """
 
-    target: GridPoint
-    neighborhood: Neighborhood
     paths: tuple[tuple[MoveStep, ...], ...]
     truncated: bool
 
@@ -138,9 +136,4 @@ def enumerate_shortest_paths(
     if limit < 1:
         raise ValueError(f"limit must be positive, got {limit}")
     paths = tuple(islice(iter_shortest_paths(target, neighborhood), limit + 1))
-    return PathList(
-        target=target,
-        neighborhood=neighborhood,
-        paths=paths[:limit],
-        truncated=len(paths) > limit,
-    )
+    return PathList(paths=paths[:limit], truncated=len(paths) > limit)

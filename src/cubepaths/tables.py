@@ -8,7 +8,7 @@ fixed-width integer almost immediately.
 from __future__ import annotations
 
 from itertools import permutations, product
-from typing import NamedTuple, Optional
+from typing import NamedTuple
 
 from .core import CanonicalOffset, GridPoint, Neighborhood
 from .counting import count_n8_2d, count_paths
@@ -22,16 +22,8 @@ class TableEntry(NamedTuple):
 
 
 class CountTable(NamedTuple):
-    """Rows of (point, distance, count), sorted lexicographically by point.
+    """Rows of (point, distance, count), sorted lexicographically by point."""
 
-    Shell tables carry their neighborhood and requested length (every row
-    sits at that distance).  The planar slice sets both to None: it is the
-    2D chessboard, not one of the 3D connectivities, and its rows span
-    distances 0..max_i.
-    """
-
-    neighborhood: Optional[Neighborhood]
-    length: Optional[int]
     entries: tuple[TableEntry, ...]
 
 
@@ -73,7 +65,7 @@ def shell_table(
                 else:
                     entries.append(TableEntry(GridPoint(i, j, k), length, count))
     entries.sort(key=lambda entry: entry.point)
-    return CountTable(neighborhood=neighborhood, length=length, entries=tuple(entries))
+    return CountTable(entries=tuple(entries))
 
 
 def slice_table_2d(max_i: int) -> CountTable:
@@ -89,7 +81,7 @@ def slice_table_2d(max_i: int) -> CountTable:
         for i in range(max_i + 1)
         for j in range(i + 1)
     ]
-    return CountTable(neighborhood=None, length=None, entries=tuple(entries))
+    return CountTable(entries=tuple(entries))
 
 
 _COLUMNS = ("i", "j", "k", "distance", "count")

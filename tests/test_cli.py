@@ -69,6 +69,12 @@ def test_count_handles_negative_and_translated_input(capsys):
     assert (code, out) == (EXIT_OK, "3\n")  # displacement (1,-3,2), same as 3,2,1
 
 
+def test_points_with_a_negative_first_component(capsys):
+    # a separate word such as "-13,3,3" is the point, not an unknown option
+    code, out, err = invoke(capsys, "count", "--from", "-1,0,0", "--to", "-13,3,3", "-n", "18")
+    assert (code, out, err) == (EXIT_OK, "1247400\n", "")
+
+
 def test_count_beyond_the_int_to_str_cap(capsys):
     code, out, err = invoke(capsys, "count", "--to", "6000,3000,1500", "-n", "6")
     assert (code, err) == (EXIT_OK, "")

@@ -125,6 +125,12 @@ def test_cli_output_matches_the_golden_file(entry, monkeypatch):
     assert invoke(entry["args"]) == entry
 
 
+def test_the_generator_lists_the_golden_file_invocations_in_order():
+    # editing invocations() or the golden file without regenerating fails here
+    golden = json.loads(GOLDEN.read_text(encoding="utf-8"))
+    assert invocations() == [entry["args"] for entry in golden]
+
+
 if __name__ == "__main__":
     os.environ["COLUMNS"] = "80"
     corpus = [invoke(args) for args in invocations()]

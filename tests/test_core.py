@@ -112,21 +112,6 @@ def test_admissible_under_matches_weight():
     assert step in admissible_moves(Neighborhood.N26)
 
 
-# ------------------------------------------------------------ neighborhood
-
-
-@pytest.mark.parametrize("token,expected", [("6", Neighborhood.N6), (18, Neighborhood.N18), ("26", Neighborhood.N26)])
-def test_neighborhood_from_token(token, expected):
-    assert Neighborhood.from_token(token) is expected
-
-
-def test_neighborhood_from_token_rejects_unknown():
-    with pytest.raises(ValueError):
-        Neighborhood.from_token("8")
-    with pytest.raises(ValueError):
-        Neighborhood.from_token("six")
-
-
 # ---------------------------------------------------- value-type contract
 
 

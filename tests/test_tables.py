@@ -71,8 +71,6 @@ def test_shell_length_zero_is_the_origin_alone():
 
 def test_shell_metadata_and_ordering():
     table = shell_table(Neighborhood.N18, 4)
-    assert table.neighborhood is Neighborhood.N18
-    assert table.length == 4
     points = [entry.point for entry in table.entries]
     assert points == sorted(points)
     assert all(entry.distance == 4 for entry in table.entries)
@@ -143,7 +141,6 @@ def test_slice_table_values():
         (3, 2, 0): 3,
         (3, 3, 0): 1,
     }
-    assert table.neighborhood is None and table.length is None
     assert all(entry.distance == entry.point.x for entry in table.entries)
 
 
@@ -157,8 +154,6 @@ def test_slice_table_rejects_negative_extent():
 
 def _tiny_table():
     return CountTable(
-        neighborhood=Neighborhood.N6,
-        length=1,
         entries=(TableEntry(GridPoint(1, 0, 0), 1, 1),),
     )
 
@@ -197,7 +192,7 @@ def test_serializers_use_lf_newlines_only():
 
 
 def test_serializers_on_empty_table():
-    empty = CountTable(neighborhood=None, length=None, entries=())
+    empty = CountTable(entries=())
     assert to_csv(empty) == "i,j,k,distance,count\n"
     assert json.loads(to_json(empty)) == []
     assert to_text(empty).splitlines()[0].split() == ["i", "j", "k", "distance", "count"]
@@ -243,8 +238,6 @@ def test_decimal_string_keeps_the_cap_on_parsing():
 
 def _huge_table():
     return CountTable(
-        neighborhood=Neighborhood.N6,
-        length=1,
         entries=(TableEntry(GridPoint(1, 0, 0), 1, HUGE),),
     )
 
