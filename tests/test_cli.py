@@ -75,6 +75,14 @@ def test_points_with_a_negative_first_component(capsys):
     assert (code, out, err) == (EXIT_OK, "1247400\n", "")
 
 
+@pytest.mark.parametrize("token,expected", [("6", "6\n"), ("18", "6\n"), ("26", "1\n")])
+def test_each_neighborhood_token_selects_its_connectivity(capsys, token, expected):
+    # (1,1,1): 3! orderings of unit steps under N6, one face and one edge
+    # step in either order under N18, and the single corner step under N26
+    code, out, err = invoke(capsys, "count", "--to", "1,1,1", "-n", token)
+    assert (code, out, err) == (EXIT_OK, expected, "")
+
+
 def test_count_beyond_the_int_to_str_cap(capsys):
     code, out, err = invoke(capsys, "count", "--to", "6000,3000,1500", "-n", "6")
     assert (code, err) == (EXIT_OK, "")
@@ -325,6 +333,16 @@ def test_unknown_neighborhood(capsys):
     code, _, err = invoke(capsys, "count", "--to", "1,0,0", "-n", "99")
     assert code == EXIT_USAGE
     assert "invalid choice" in err
+
+
+def test_invalid_neighborhood_token_is_worded_with_repr(capsys):
+    # the same wording on every supported Python, whatever its argparse prints
+    code, out, err = invoke(capsys, "count", "--to", "1,0,0", "-n", "six")
+    assert (code, out) == (EXIT_USAGE, "")
+    assert err == (
+        "cubepaths: error: argument -n/--neighborhood: invalid choice: 'six' "
+        "(choose from '6', '18', '26', 'all')\n"
+    )
 
 
 def test_missing_target(capsys):
