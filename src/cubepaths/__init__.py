@@ -18,7 +18,6 @@ from .counting import (
     classify_n18,
     count_n6,
     count_n8_2d,
-    count_n18,
     count_n18_halfcase,
     count_n18_maxcase,
     count_n26,
@@ -54,7 +53,6 @@ __all__ = [
     "classify_n18",
     "count_n6",
     "count_n8_2d",
-    "count_n18",
     "count_n18_halfcase",
     "count_n18_maxcase",
     "count_n26",

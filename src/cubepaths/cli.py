@@ -44,9 +44,10 @@ class _Parser(argparse.ArgumentParser):
         super().__init__(**kwargs)
         # argparse reads a word after an option as its value only if the word
         # does not look like an option; "-12,3,3" does, unlike a plain "-12",
-        # so a point with a negative first component is let through too
+        # so any point whose first chunk starts "-<digit>" is let through too
+        # and a malformed one ("-1.5,0,0") gets _parse_point's message
         self._negative_number_matcher = re.compile(
-            self._negative_number_matcher.pattern + r"|^-\d[\d_]*,"
+            self._negative_number_matcher.pattern + r"|^-\d[^,]*,"
         )
 
     # argparse exits with code 2 on bad usage; this CLI reserves 2 for
@@ -143,14 +144,15 @@ def _cmd_paths(ns: argparse.Namespace) -> int:
 def _cmd_verify(ns: argparse.Namespace) -> int:
     if ns.extent < 0:
         raise _UsageError(f"--extent must be nonnegative, got {ns.extent}")
-    reports = [verify_region(ns.extent, n) for n in _neighborhoods(ns.neighborhood)]
+    neighborhoods = _neighborhoods(ns.neighborhood)
+    reports = [verify_region(ns.extent, n) for n in neighborhoods]
     if ns.format == "json":
         import json
 
         payload = [
             {
-                "neighborhood": r.neighborhood.value,
-                "extent": r.extent,
+                "neighborhood": neighborhood.value,
+                "extent": ns.extent,
                 "checked": r.checked,
                 "mismatches": [
                     {
@@ -161,14 +163,14 @@ def _cmd_verify(ns: argparse.Namespace) -> int:
                     for point, formula, oracle in r.mismatches
                 ],
             }
-            for r in reports
+            for neighborhood, r in zip(neighborhoods, reports)
         ]
         print(json.dumps(payload))
     else:
-        for r in reports:
+        for neighborhood, r in zip(neighborhoods, reports):
             print(
-                f"{r.neighborhood.name}: checked {r.checked} canonical points "
-                f"(extent {r.extent}), mismatches {len(r.mismatches)}"
+                f"{neighborhood.name}: checked {r.checked} canonical points "
+                f"(extent {ns.extent}), mismatches {len(r.mismatches)}"
             )
             for point, formula, oracle in r.mismatches:
                 print(

@@ -120,26 +120,6 @@ def classify_n18(off: CanonicalOffset) -> N18Case:
     return N18Case.OVERLAP
 
 
-def count_n18(off: CanonicalOffset, check_overlap: bool = False) -> int:
-    """Shortest paths under face-edge connectivity, dispatching on the case.
-
-    Overlap offsets default to the dominant-coordinate sum, which has at
-    most two terms there; with check_overlap=True both formulas run and a
-    disagreement (impossible unless a formula is broken) raises.
-    """
-    case = classify_n18(off)
-    if case is N18Case.HALF_CASE:
-        return count_n18_halfcase(off)
-    value = count_n18_maxcase(off)
-    if check_overlap and case is N18Case.OVERLAP:
-        other = count_n18_halfcase(off)
-        if other != value:
-            raise AssertionError(
-                f"overlap formulas disagree at {off.as_triple()}: {value} vs {other}"
-            )
-    return value
-
-
 def count_n26(off: CanonicalOffset) -> int:
     """Shortest paths under full connectivity.
 
@@ -153,9 +133,25 @@ def count_n26(off: CanonicalOffset) -> int:
 def count_paths(
     off: CanonicalOffset, neighborhood: Neighborhood, check_overlap: bool = False
 ) -> int:
-    """Closed-form shortest-path count for a canonical offset."""
+    """Closed-form shortest-path count for a canonical offset.
+
+    Under N18, overlap offsets default to the dominant-coordinate sum,
+    which has at most two terms there; with check_overlap=True both
+    formulas run and a disagreement (impossible unless a formula is
+    broken) raises.
+    """
     if neighborhood is Neighborhood.N6:
         return count_n6(off)
-    if neighborhood is Neighborhood.N18:
-        return count_n18(off, check_overlap=check_overlap)
-    return count_n26(off)
+    if neighborhood is Neighborhood.N26:
+        return count_n26(off)
+    case = classify_n18(off)
+    if case is N18Case.HALF_CASE:
+        return count_n18_halfcase(off)
+    value = count_n18_maxcase(off)
+    if check_overlap and case is N18Case.OVERLAP:
+        other = count_n18_halfcase(off)
+        if other != value:
+            raise AssertionError(
+                f"overlap formulas disagree at {off.as_triple()}: {value} vs {other}"
+            )
+    return value

@@ -42,6 +42,7 @@ def oracle_count(target: GridPoint, neighborhood: Neighborhood) -> int:
     lies on some geodesic.  Its count is the sum over its surviving
     predecessors.  The DP therefore touches O((2d+1)^3) points at worst.
     """
+    # exact tuples unpack faster than named tuples in the DP's inner loop
     moves = sorted(m.as_tuple() for m in admissible_moves(neighborhood))
     return _layered_count(target.as_tuple(), moves, displacement_metric(neighborhood))
 
@@ -53,6 +54,7 @@ def oracle_count_2d(i: int, j: int) -> int:
     Every visited point stays in the z = 0 plane, where the L-infinity
     metric of full connectivity is the chessboard metric.
     """
+    # exact tuples, as in oracle_count
     moves = sorted(
         m.as_tuple() for m in admissible_moves(Neighborhood.N26) if m.dz == 0
     )

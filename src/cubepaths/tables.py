@@ -30,7 +30,7 @@ class CountTable(NamedTuple):
 def symmetry_images(point: GridPoint) -> list[GridPoint]:
     """All distinct sign/permutation images of a point (up to 48)."""
     images = set()
-    for a, b, c in permutations(point.as_tuple()):
+    for a, b, c in permutations(point):
         for sa, sb, sc in product((1, -1), repeat=3):
             images.add(GridPoint(sa * a, sb * b, sc * c))
     return sorted(images)
@@ -57,13 +57,9 @@ def shell_table(
                 if dist(i, j, k) != length:
                     continue
                 count = count_paths(CanonicalOffset(i, j, k), neighborhood)
-                if expand_symmetry:
-                    entries.extend(
-                        TableEntry(image, length, count)
-                        for image in symmetry_images(GridPoint(i, j, k))
-                    )
-                else:
-                    entries.append(TableEntry(GridPoint(i, j, k), length, count))
+                point = GridPoint(i, j, k)
+                images = symmetry_images(point) if expand_symmetry else (point,)
+                entries.extend(TableEntry(image, length, count) for image in images)
     entries.sort(key=lambda entry: entry.point)
     return CountTable(entries=tuple(entries))
 

@@ -23,8 +23,6 @@ class VerifyReport(NamedTuple):
     """Outcome of one sweep; empty ``mismatches`` means every formula value
     equaled the search oracle on the box."""
 
-    extent: int
-    neighborhood: Neighborhood
     checked: int
     mismatches: tuple[tuple[GridPoint, int, int], ...]  # (point, formula, oracle)
 
@@ -61,9 +59,4 @@ def verify_region(extent: int, neighborhood: Neighborhood) -> VerifyReport:
                 for got in candidates:
                     if got != expected:
                         mismatches.append((point, got, expected))
-    return VerifyReport(
-        extent=extent,
-        neighborhood=neighborhood,
-        checked=checked,
-        mismatches=tuple(mismatches),
-    )
+    return VerifyReport(checked=checked, mismatches=tuple(mismatches))

@@ -23,7 +23,6 @@ from cubepaths.core import (
 from cubepaths.counting import (
     count_n6,
     count_n8_2d,
-    count_n18,
     count_n18_halfcase,
     count_n18_maxcase,
     count_n26,
@@ -47,10 +46,10 @@ def _canonical_box(extent):
 def test_criterion_1_worked_values():
     """Fixed worked values reproduce exactly, well under a second."""
     start = time.perf_counter()
-    assert count_n18(CanonicalOffset(3, 0, 0)) == 13
-    assert count_n18(CanonicalOffset(3, 1, 0)) == 12
-    assert count_n18(CanonicalOffset(2, 2, 2)) == 6
-    assert count_n18(CanonicalOffset(2, 2, 1)) == 15
+    assert count_paths(CanonicalOffset(3, 0, 0), Neighborhood.N18) == 13
+    assert count_paths(CanonicalOffset(3, 1, 0), Neighborhood.N18) == 12
+    assert count_paths(CanonicalOffset(2, 2, 2), Neighborhood.N18) == 6
+    assert count_paths(CanonicalOffset(2, 2, 1), Neighborhood.N18) == 15
     assert count_n18_maxcase(CanonicalOffset(9, 4, 4)) == 630
     assert count_n18_halfcase(CanonicalOffset(9, 4, 4)) == 630
     assert distance(GridPoint(7, 4, 2), ORIGIN, Neighborhood.N26) == 7
@@ -67,7 +66,7 @@ def test_criterion_2_oracle_arbitration_at_9_5_4():
     off = CanonicalOffset(9, 5, 4)
     assert count_n18_maxcase(off) == truth
     assert count_n18_halfcase(off) == truth
-    assert count_n18(off, check_overlap=True) == truth
+    assert count_paths(off, Neighborhood.N18, check_overlap=True) == truth
     print("PASS: criterion 2 - (9,5,4) arbitrated by oracle: all sides give 126")
 
 

@@ -11,7 +11,7 @@ import pytest
 import cubepaths
 
 from cubepaths.cli import EXIT_MISMATCH, EXIT_OK, EXIT_USAGE, run
-from cubepaths.core import GridPoint, Neighborhood
+from cubepaths.core import GridPoint
 from cubepaths.counting import multinomial
 from cubepaths.tables import decimal_string
 from cubepaths.verify import VerifyReport
@@ -73,6 +73,10 @@ def test_points_with_a_negative_first_component(capsys):
     # a separate word such as "-13,3,3" is the point, not an unknown option
     code, out, err = invoke(capsys, "count", "--from", "-1,0,0", "--to", "-13,3,3", "-n", "18")
     assert (code, out, err) == (EXIT_OK, "1247400\n", "")
+    # and a malformed one such as "-1.5,0,0" gets the malformed-point message
+    code, out, err = invoke(capsys, "count", "--to", "-1.5,0,0", "-n", "18")
+    assert (code, out) == (EXIT_USAGE, "")
+    assert "malformed point '-1.5,0,0': components must be integers" in err
 
 
 @pytest.mark.parametrize("token,expected", [("6", "6\n"), ("18", "6\n"), ("26", "1\n")])
@@ -188,8 +192,6 @@ def test_verify_single_neighborhood_json(capsys):
 
 def test_verify_mismatch_exits_2(capsys, monkeypatch):
     fake = VerifyReport(
-        extent=1,
-        neighborhood=Neighborhood.N6,
         checked=4,
         mismatches=((GridPoint(1, 0, 0), 2, 1),),
     )
@@ -202,8 +204,6 @@ def test_verify_mismatch_exits_2(capsys, monkeypatch):
 
 def test_verify_mismatch_beyond_the_int_to_str_cap(capsys, monkeypatch):
     fake = VerifyReport(
-        extent=1,
-        neighborhood=Neighborhood.N6,
         checked=4,
         mismatches=((GridPoint(1, 0, 0), HUGE, HUGE + 1),),
     )

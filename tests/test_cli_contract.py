@@ -47,6 +47,7 @@ def invocations() -> list[list[str]]:
         ["distance", "--to", f"{huge},0,0", "-n", "6"],
         ["count", "--to", "-12,3,3", "-n", "18"],
         ["count", "--to=-12,3,3", "-n", "18"],
+        ["count", "--to", "-1.5,0,0", "-n", "18"],
         ["paths", "--to", "1,1,1", "-n", "all"],
         [],
         ["bench"],

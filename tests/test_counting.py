@@ -18,7 +18,6 @@ from cubepaths.counting import (
     classify_n18,
     count_n6,
     count_n8_2d,
-    count_n18,
     count_n18_halfcase,
     count_n18_maxcase,
     count_n26,
@@ -214,7 +213,7 @@ def test_count_n8_2d_rejects_unsorted_input():
     ],
 )
 def test_count_n18_values(triple, expected):
-    assert count_n18(_sorted_offset(*triple)) == expected
+    assert count_paths(_sorted_offset(*triple), Neighborhood.N18) == expected
 
 
 def test_count_n18_formulas_respect_applicability():
@@ -254,8 +253,8 @@ def test_count_n18_dispatch_matches_applicable_formula(off):
         if classify_n18(off) is not N18Case.HALF_CASE
         else count_n18_halfcase(off)
     )
-    assert count_n18(off) == expected
-    assert count_n18(off, check_overlap=True) == expected
+    assert count_paths(off, Neighborhood.N18) == expected
+    assert count_paths(off, Neighborhood.N18, check_overlap=True) == expected
 
 
 @given(canonical_offsets(max_value=30))
@@ -272,7 +271,18 @@ def test_nine_five_four_counts_to_126_under_both_formulas():
     off = CanonicalOffset(9, 5, 4)
     assert count_n18_maxcase(off) == 126
     assert count_n18_halfcase(off) == 126
-    assert count_n18(off, check_overlap=True) == 126
+    assert count_paths(off, Neighborhood.N18, check_overlap=True) == 126
+
+
+def test_overlap_check_raises_when_the_formulas_disagree(monkeypatch):
+    import cubepaths.counting as counting
+
+    true_halfcase = counting.count_n18_halfcase
+    monkeypatch.setattr(counting, "count_n18_halfcase", lambda off: true_halfcase(off) + 1)
+    off = CanonicalOffset(9, 5, 4)
+    with pytest.raises(AssertionError, match=r"\(9, 5, 4\)"):
+        count_paths(off, Neighborhood.N18, check_overlap=True)
+    assert count_paths(off, Neighborhood.N18) == 126
 
 
 def test_nine_four_four_counts_to_630():
@@ -333,5 +343,5 @@ def test_counts_stay_exact_at_large_coordinates():
     off = CanonicalOffset(120, 80, 40)
     assert count_n6(off) == multinomial(240, (120, 80, 40))
     assert count_n6(off).bit_length() > 64
-    assert count_n18(off) > 0
+    assert count_paths(off, Neighborhood.N18) > 0
     assert count_n26(off) == count_n8_2d(120, 80) * count_n8_2d(120, 40)
