@@ -41,7 +41,7 @@ def count_n6(off: CanonicalOffset) -> int:
 def _planar(n: int, j: int) -> int:
     # count_n8_2d(n, j) without its check; count_n18_maxcase calls this, not
     # the public name, which callers (and the benchmark's tracer) may rebind.
-    return sum(multinomial(n, (b, j + b, n - j - 2 * b)) for b in range((n - j) // 2 + 1))
+    return sum(comb(n, b) * comb(n - b, j + b) for b in range((n - j) // 2 + 1))
 
 
 def count_n8_2d(i: int, j: int) -> int:
@@ -49,7 +49,8 @@ def count_n8_2d(i: int, j: int) -> int:
 
     The distance is i.  A path with b falling diagonals needs j+b rising
     diagonals to land on row j, leaving i-j-2b straight moves, so the count
-    is the sum over b of multinomial(i; b, j+b, i-j-2b).
+    is the sum over b of multinomial(i; b, j+b, i-j-2b) = C(i, b) C(i-b, j+b):
+    the slots of the falling diagonals, then the rising ones among the rest.
     """
     if not i >= j >= 0:
         raise ValueError(f"count_n8_2d needs i >= j >= 0, got ({i}, {j})")
@@ -62,8 +63,9 @@ def count_n18_maxcase(off: CanonicalOffset) -> int:
 
     Every step advances x by one.  With a steps also moving -z, compensation
     forces k+a steps moving +z, which can be placed in multinomial(i; a, k+a,
-    i-k-2a) ways.  The other i-k-2a steps carry no z-motion, so they form a
-    planar chessboard path to (i-k-2a, j); summing over a gives the total.
+    i-k-2a) = C(i, a) C(i-a, k+a) ways.  The other i-k-2a steps carry no
+    z-motion, so they form a planar chessboard path to (i-k-2a, j); summing
+    over a gives the total.
     """
     i, j, k = off.as_triple()
     slack = i - j - k
@@ -72,7 +74,7 @@ def count_n18_maxcase(off: CanonicalOffset) -> int:
             f"dominant-coordinate formula needs i >= j + k, got {off.as_triple()}"
         )
     return sum(
-        multinomial(i, (a, k + a, i - k - 2 * a)) * _planar(i - k - 2 * a, j)
+        comb(i, a) * comb(i - a, k + a) * _planar(i - k - 2 * a, j)
         for a in range(slack // 2 + 1)
     )
 
@@ -144,6 +146,8 @@ def count_paths(
         return count_n6(off)
     if neighborhood is Neighborhood.N26:
         return count_n26(off)
+    if neighborhood is not Neighborhood.N18:
+        raise ValueError(f"unknown neighborhood: {neighborhood!r}")
     case = classify_n18(off)
     if case is N18Case.HALF_CASE:
         return count_n18_halfcase(off)

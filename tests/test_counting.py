@@ -106,6 +106,37 @@ def test_halfcase_equals_direct_formula_beyond_oracle_reach(triple):
     assert count_n18_halfcase(CanonicalOffset(*triple)) == _direct_n18_halfcase(*triple)
 
 
+# ----------------------------------------- single-sum max case (reference)
+#
+# Every max-case step advances x, and moves y or z by at most one, never
+# both.  Rotate the y-z plane by 45 degrees, to u = y + z and v = y - z:
+# the four in-plane moves (0, +-1) and (+-1, 0) become (+-1, +-1) with
+# independent signs.  So choose which m of the i steps move in the plane,
+# C(i, m); those m steps are two independent +-1 walks, to u = j + k and to
+# v = j - k, with (m + j + k)/2 and (m + j - k)/2 plus-steps.  m runs over
+# j + k, j + k + 2, ..., up to i.
+
+
+def _single_sum_n18_maxcase(i, j, k):
+    return sum(
+        math.comb(i, m) * math.comb(m, (m + j + k) // 2) * math.comb(m, (m + j - k) // 2)
+        for m in range(j + k, i + 1, 2)
+    )
+
+
+def test_maxcase_equals_single_sum_on_sweep():
+    for i in range(41):
+        for j in range(i + 1):
+            for k in range(min(j, i - j) + 1):
+                off = CanonicalOffset(i, j, k)
+                assert count_n18_maxcase(off) == _single_sum_n18_maxcase(i, j, k), off
+
+
+@pytest.mark.parametrize("triple", [(520, 0, 0), (520, 260, 130), (419, 0, 0), (520, 173, 173)])
+def test_maxcase_equals_single_sum_at_the_heaviest_benchmark_shapes(triple):
+    assert count_n18_maxcase(CanonicalOffset(*triple)) == _single_sum_n18_maxcase(*triple)
+
+
 # ------------------------------------------------------------- multinomial
 
 
@@ -185,6 +216,12 @@ def test_count_n6_planar_case_is_binomial(i, j):
 )
 def test_count_n8_2d_values(i, j, expected):
     assert count_n8_2d(i, j) == expected
+
+
+def test_count_n8_2d_on_the_axis_is_the_central_trinomial_coefficient():
+    # OEIS A002426: the coefficient of x^n in (1 + x + x^2)^n
+    expected = [1, 1, 3, 7, 19, 51, 141, 393, 1107, 3139, 8953]
+    assert [count_n8_2d(n, 0) for n in range(11)] == expected
 
 
 def test_count_n8_2d_diagonal_is_single_path():
@@ -329,6 +366,12 @@ def test_count_paths_dispatches():
     assert count_paths(off, Neighborhood.N6) == 60
     assert count_paths(off, Neighborhood.N18) == 3
     assert count_paths(off, Neighborhood.N26) == 18
+
+
+@pytest.mark.parametrize("neighborhood", [6, "18", None])
+def test_count_paths_rejects_what_is_not_a_neighborhood(neighborhood):
+    with pytest.raises(ValueError, match=repr(neighborhood)):
+        count_paths(CanonicalOffset(3, 2, 1), neighborhood)
 
 
 @given(canonical_offsets(max_value=15))
