@@ -32,7 +32,6 @@ EXIT_USAGE = 1
 EXIT_MISMATCH = 2
 
 _TOKENS = ("6", "18", "26")
-_ALL = (Neighborhood.N6, Neighborhood.N18, Neighborhood.N26)
 
 
 class _UsageError(Exception):
@@ -87,7 +86,7 @@ def _parse_point(text: str) -> GridPoint:
 
 def _neighborhoods(token: str) -> tuple[Neighborhood, ...]:
     # the parsers' choices admit only "all" and the tokens "6", "18", "26"
-    return _ALL if token == "all" else (Neighborhood(int(token)),)
+    return tuple(Neighborhood) if token == "all" else (Neighborhood(int(token)),)
 
 
 def _displacement(ns: argparse.Namespace) -> GridPoint:

@@ -8,7 +8,6 @@ hash and compare (lexicographically) as the plain tuple of their fields.
 from __future__ import annotations
 
 from enum import Enum
-from functools import lru_cache
 from itertools import product
 from typing import NamedTuple
 
@@ -39,8 +38,9 @@ class Neighborhood(Enum):
     N26 = 26
 
 
-# how many coordinates a single step may change
-_STEP_CAPS = {Neighborhood.N6: 1, Neighborhood.N18: 2, Neighborhood.N26: 3}
+def unknown_neighborhood(value: object) -> ValueError:
+    """The one refusal of a value that is not a Neighborhood."""
+    return ValueError(f"unknown neighborhood: {value!r}")
 
 
 # a class-syntax NamedTuple may not define __new__, so the validating types
@@ -73,15 +73,20 @@ class MoveStep(NamedTuple("MoveStep", [("dx", int), ("dy", int), ("dz", int)])):
         return (self.dx, self.dy, self.dz)
 
 
-@lru_cache(maxsize=None)
+_MOVES = {
+    neighborhood: frozenset(
+        MoveStep(*s) for s in product((-1, 0, 1), repeat=3) if 0 < sum(map(abs, s)) <= cap
+    )
+    for neighborhood, cap in zip(Neighborhood, (1, 2, 3))
+}
+
+
 def admissible_moves(neighborhood: Neighborhood) -> frozenset[MoveStep]:
     """The full move set of a connectivity: 6, 18 or 26 steps."""
-    return frozenset(
-        MoveStep(dx, dy, dz)
-        for dx, dy, dz in product((-1, 0, 1), repeat=3)
-        if (dx, dy, dz) != (0, 0, 0)
-        and abs(dx) + abs(dy) + abs(dz) <= _STEP_CAPS[neighborhood]
-    )
+    try:
+        return _MOVES[neighborhood]
+    except (KeyError, TypeError):  # TypeError: an unhashable value
+        raise unknown_neighborhood(neighborhood) from None
 
 
 class CanonicalOffset(NamedTuple("CanonicalOffset", [("i", int), ("j", int), ("k", int)])):

@@ -11,7 +11,7 @@ from enum import Enum
 from math import comb
 from typing import Iterable
 
-from .core import CanonicalOffset, Neighborhood
+from .core import CanonicalOffset, Neighborhood, unknown_neighborhood
 
 
 def multinomial(n: int, parts: Iterable[int]) -> int:
@@ -147,7 +147,7 @@ def count_paths(
     if neighborhood is Neighborhood.N26:
         return count_n26(off)
     if neighborhood is not Neighborhood.N18:
-        raise ValueError(f"unknown neighborhood: {neighborhood!r}")
+        raise unknown_neighborhood(neighborhood)
     case = classify_n18(off)
     if case is N18Case.HALF_CASE:
         return count_n18_halfcase(off)

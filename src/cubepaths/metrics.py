@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from typing import Callable
 
-from .core import GridPoint, Neighborhood
+from .core import GridPoint, Neighborhood, unknown_neighborhood
 
 
 def _l1(dx: int, dy: int, dz: int) -> int:
@@ -24,11 +24,7 @@ def _linf(dx: int, dy: int, dz: int) -> int:
     return max(abs(dx), abs(dy), abs(dz))
 
 
-_BY_NEIGHBORHOOD: dict[Neighborhood, Callable[[int, int, int], int]] = {
-    Neighborhood.N6: _l1,
-    Neighborhood.N18: _d18,
-    Neighborhood.N26: _linf,
-}
+_BY_NEIGHBORHOOD = dict(zip(Neighborhood, (_l1, _d18, _linf)))
 
 
 def displacement_metric(neighborhood: Neighborhood) -> Callable[[int, int, int], int]:
@@ -37,9 +33,12 @@ def displacement_metric(neighborhood: Neighborhood) -> Callable[[int, int, int],
     This is the form the path oracle consumes in its inner loop, where
     building GridPoint pairs per edge would dominate the runtime.
     """
-    return _BY_NEIGHBORHOOD[neighborhood]
+    try:
+        return _BY_NEIGHBORHOOD[neighborhood]
+    except (KeyError, TypeError):  # TypeError: an unhashable value
+        raise unknown_neighborhood(neighborhood) from None
 
 
 def distance(p: GridPoint, q: GridPoint, neighborhood: Neighborhood) -> int:
     """Digital distance between two points for the given connectivity."""
-    return _BY_NEIGHBORHOOD[neighborhood](*p.displacement_from(q))
+    return displacement_metric(neighborhood)(*p.displacement_from(q))

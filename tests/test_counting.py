@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from cubepaths.core import CanonicalOffset, Neighborhood
+from cubepaths.core import ORIGIN, CanonicalOffset, GridPoint, Neighborhood, admissible_moves
 from cubepaths.counting import (
     N18Case,
     classify_n18,
@@ -24,6 +24,10 @@ from cubepaths.counting import (
     count_paths,
     multinomial,
 )
+from cubepaths.metrics import displacement_metric, distance
+from cubepaths.oracle import enumerate_shortest_paths, iter_shortest_paths, oracle_count
+from cubepaths.tables import shell_table
+from cubepaths.verify import verify_region
 
 
 @st.composite
@@ -368,10 +372,26 @@ def test_count_paths_dispatches():
     assert count_paths(off, Neighborhood.N26) == 18
 
 
-@pytest.mark.parametrize("neighborhood", [6, "18", None])
-def test_count_paths_rejects_what_is_not_a_neighborhood(neighborhood):
-    with pytest.raises(ValueError, match=repr(neighborhood)):
-        count_paths(CanonicalOffset(3, 2, 1), neighborhood)
+# every public entry that takes a neighborhood, called with a valid rest
+_NEIGHBORHOOD_ENTRIES = {
+    "admissible_moves": admissible_moves,
+    "distance": lambda n: distance(GridPoint(3, 2, 1), ORIGIN, n),
+    "displacement_metric": displacement_metric,
+    "count_paths": lambda n: count_paths(CanonicalOffset(3, 2, 1), n),
+    "oracle_count": lambda n: oracle_count(GridPoint(3, 2, 1), n),
+    "iter_shortest_paths": lambda n: next(iter_shortest_paths(GridPoint(3, 2, 1), n)),
+    "enumerate_shortest_paths": lambda n: enumerate_shortest_paths(GridPoint(3, 2, 1), n),
+    "shell_table": lambda n: shell_table(n, 2),
+    "verify_region": lambda n: verify_region(1, n),
+}
+
+
+@pytest.mark.parametrize("neighborhood", [6, "18", None, [18]])
+@pytest.mark.parametrize("entry", list(_NEIGHBORHOOD_ENTRIES))
+def test_every_entry_refuses_what_is_not_a_neighborhood(entry, neighborhood):
+    with pytest.raises(ValueError) as refused:
+        _NEIGHBORHOOD_ENTRIES[entry](neighborhood)
+    assert str(refused.value) == f"unknown neighborhood: {neighborhood!r}"
 
 
 @given(canonical_offsets(max_value=15))

@@ -6,6 +6,7 @@ the move graph, computed without any distance formula.
 """
 
 from collections import deque
+from itertools import permutations, product
 
 import pytest
 from hypothesis import given
@@ -101,6 +102,33 @@ def test_richer_moves_never_lengthen_paths(p, q):
         <= distance(p, q, Neighborhood.N18)
         <= distance(p, q, Neighborhood.N6)
     )
+
+
+# ------------------------------------------------ the symmetry premise
+
+# the 48 signed permutations of the axes: v -> (s0 v[p0], s1 v[p1], s2 v[p2])
+_SIGNED_PERMUTATIONS = [
+    (perm, signs) for perm in permutations(range(3)) for signs in product((1, -1), repeat=3)
+]
+
+
+def _image(v, perm, signs):
+    return tuple(s * v[axis] for axis, s in zip(perm, signs))
+
+
+@pytest.mark.parametrize("neighborhood", list(Neighborhood))
+def test_move_set_and_metric_are_invariant_under_signed_permutations(neighborhood):
+    """canonicalize, and every count on a canonical offset, rest on this:
+    each signed permutation maps the move set onto itself and keeps the
+    metric of every displacement."""
+    assert len({_image((1, 2, 3), *g) for g in _SIGNED_PERMUTATIONS}) == 48  # distinct maps
+    moves = {step.as_tuple() for step in admissible_moves(neighborhood)}
+    metric = displacement_metric(neighborhood)
+    box = list(product(range(-4, 5), repeat=3))
+    for perm, signs in _SIGNED_PERMUTATIONS:
+        assert {_image(m, perm, signs) for m in moves} == moves
+        for v in box:
+            assert metric(*_image(v, perm, signs)) == metric(*v), (v, perm, signs)
 
 
 # ------------------------------------- independent graph-search cross-check
