@@ -22,7 +22,6 @@ from .counting import (
     count_n18_maxcase,
     count_n26,
     count_paths,
-    multinomial,
 )
 from .metrics import distance
 from .oracle import (
@@ -60,7 +59,6 @@ __all__ = [
     "distance",
     "enumerate_shortest_paths",
     "iter_shortest_paths",
-    "multinomial",
     "oracle_count",
     "oracle_count_2d",
     "shell_table",

@@ -8,7 +8,9 @@ Results go to stdout, diagnostics to stderr.  Exit codes: 0 success,
 from __future__ import annotations
 
 import argparse
+import os
 import re
+import signal
 import sys
 from typing import Optional, Sequence
 
@@ -307,4 +309,13 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
 
 
 def main() -> None:
-    sys.exit(run(sys.argv[1:]))
+    if hasattr(signal, "SIGPIPE"):  # like cat, die of it once the reader is gone
+        signal.signal(signal.SIGPIPE, signal.SIG_DFL)
+    try:
+        code = run(sys.argv[1:])
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # no SIGPIPE: stdout to devnull, or shutdown reports "Exception ignored"
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = EXIT_OK
+    sys.exit(code)

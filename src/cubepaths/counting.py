@@ -9,33 +9,19 @@ from __future__ import annotations
 
 from enum import Enum
 from math import comb
-from typing import Iterable
 
 from .core import CanonicalOffset, Neighborhood, unknown_neighborhood
-
-
-def multinomial(n: int, parts: Iterable[int]) -> int:
-    """n! / prod(part!) for nonnegative parts summing to n, as a product
-    of binomials: each part chooses its places among those left free."""
-    parts = list(parts)
-    if n < 0 or any(p < 0 for p in parts):
-        raise ValueError(f"multinomial needs nonnegative arguments: n={n}, parts={parts}")
-    if sum(parts) != n:
-        raise ValueError(f"parts {parts} sum to {sum(parts)}, expected {n}")
-    out = 1
-    for p in parts:
-        out *= comb(n, p)
-        n -= p
-    return out
 
 
 def count_n6(off: CanonicalOffset) -> int:
     """Shortest paths under face connectivity: the trinomial coefficient.
 
     Every path takes exactly i, j and k unit steps along the three axes in
-    some order, so the count is (i+j+k)! / (i! j! k!).
+    some order, so the count is (i+j+k)! / (i! j! k!) = C(i+j+k, i) C(j+k, j):
+    the slots of the x-steps, then of the y-steps among the rest.
     """
-    return multinomial(off.i + off.j + off.k, off.as_triple())
+    i, j, k = off.as_triple()
+    return comb(i + j + k, i) * comb(j + k, j)
 
 
 def _planar(n: int, j: int) -> int:
@@ -97,12 +83,11 @@ def count_n18_halfcase(off: CanonicalOffset) -> int:
             f"half-sum formula needs i <= j + k + 1, got {off.as_triple()}"
         )
     steps = (i + j + k + 1) // 2
-    parts = (steps - i, steps - j, steps - k)
+    ri, rj, rk = steps - i, steps - j, steps - k
     if (i + j + k) % 2 == 0:
-        return multinomial(steps, parts)
-    ri, rj, rk = parts
+        return comb(steps, ri) * comb(steps - ri, rj)
     weight = ri * rj + rj * rk + rk * ri
-    return multinomial(steps + 1, parts) * weight // (steps + 1)
+    return comb(steps + 1, ri) * comb(steps + 1 - ri, rj) * weight // (steps + 1)
 
 
 class N18Case(Enum):

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+from math import factorial
 from pathlib import Path
 
 import pytest
@@ -12,7 +13,6 @@ import cubepaths
 
 from cubepaths.cli import EXIT_MISMATCH, EXIT_OK, EXIT_USAGE, run
 from cubepaths.core import GridPoint
-from cubepaths.counting import multinomial
 from cubepaths.tables import decimal_string
 from cubepaths.verify import VerifyReport
 
@@ -91,7 +91,8 @@ def test_count_beyond_the_int_to_str_cap(capsys):
     code, out, err = invoke(capsys, "count", "--to", "6000,3000,1500", "-n", "6")
     assert (code, err) == (EXIT_OK, "")
     assert len(out) == 4355 + 1
-    assert out == decimal_string(multinomial(10500, (6000, 3000, 1500))) + "\n"
+    trinomial = factorial(10500) // (factorial(6000) * factorial(3000) * factorial(1500))
+    assert out == decimal_string(trinomial) + "\n"
 
 
 # ------------------------------------------------------------------ oracle
@@ -398,6 +399,26 @@ def _child(*args):
 def test_python_dash_m_runs_the_cli():
     proc = _child("-m", "cubepaths", "count", "--to", "0,3,0", "-n", "18")
     assert (proc.returncode, proc.stdout, proc.stderr) == (EXIT_OK, "13\n", "")
+
+
+@pytest.mark.skipif(os.name != "posix", reason="needs POSIX pipes")
+def test_a_reader_that_closes_the_pipe_early_ends_the_cli_quietly():
+    # far more output than a pipe buffers, so the CLI is still writing when
+    # the reader goes away, as under `cubepaths paths ... | head -1`
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "cubepaths", "paths", "--to", "12,7,3", "-n", "6",
+         "--limit", "20000"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        text=True,
+        env={**os.environ, "PYTHONPATH": SOURCE_ROOT},
+    )
+    first = proc.stdout.readline()
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=60)
+    assert first.split()[0] == "0,0,1"
+    assert "Traceback" not in err and "Exception ignored" not in err, err
+    assert proc.returncode not in (EXIT_USAGE, EXIT_MISMATCH)
 
 
 def test_cli_import_loads_no_module_a_count_request_does_not_need():

@@ -5,14 +5,23 @@ the docstrings; agreement with the independent graph-search oracle is tested
 separately (test_oracle.py and the acceptance suite).
 """
 
+import importlib.util
 import math
 from math import factorial
+from pathlib import Path
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from cubepaths.core import ORIGIN, CanonicalOffset, GridPoint, Neighborhood, admissible_moves
+from cubepaths.core import (
+    ORIGIN,
+    CanonicalOffset,
+    GridPoint,
+    Neighborhood,
+    admissible_moves,
+    canonicalize,
+)
 from cubepaths.counting import (
     N18Case,
     classify_n18,
@@ -22,7 +31,6 @@ from cubepaths.counting import (
     count_n18_maxcase,
     count_n26,
     count_paths,
-    multinomial,
 )
 from cubepaths.metrics import displacement_metric, distance
 from cubepaths.oracle import enumerate_shortest_paths, iter_shortest_paths, oracle_count
@@ -141,33 +149,21 @@ def test_maxcase_equals_single_sum_at_the_heaviest_benchmark_shapes(triple):
     assert count_n18_maxcase(CanonicalOffset(*triple)) == _single_sum_n18_maxcase(*triple)
 
 
-# ------------------------------------------------------------- multinomial
+def _perfbench_reference():
+    # the benchmark's own references, which share no code with cubepaths
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "reference.py"
+    spec = importlib.util.spec_from_file_location("perfbench_reference", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
-def test_multinomial_values():
-    assert multinomial(0, []) == 1
-    assert multinomial(3, (1, 1, 1)) == 6
-    assert multinomial(9, (4, 4, 1)) == 630
-    assert multinomial(5, (5,)) == 1
-
-
-@given(st.lists(st.integers(0, 60), max_size=6))
-def test_multinomial_is_the_factorial_quotient(parts):
-    n = sum(parts)
-    expected = factorial(n)
-    for p in parts:
-        expected //= factorial(p)
-    assert multinomial(n, parts) == expected
-
-
-def test_multinomial_rejects_mismatched_sum():
-    with pytest.raises(ValueError):
-        multinomial(4, (1, 1, 1))
-
-
-def test_multinomial_rejects_negative():
-    with pytest.raises(ValueError):
-        multinomial(2, (3, -1))
+@pytest.mark.parametrize("triple", [(2000, 0, 0), (4000, 2000, 1000)])
+def test_single_sum_equals_the_modular_direct_sum_far_beyond_oracle_reach(triple):
+    # pins the single sum where the exact double sum takes minutes, so an
+    # O(i) max-case kernel built on it is proven at these sizes too
+    reference = _perfbench_reference().ModularCounts()
+    assert reference.matches(18, triple, _single_sum_n18_maxcase(*triple))
 
 
 # ------------------------------------------------------- face connectivity
@@ -185,6 +181,12 @@ def test_multinomial_rejects_negative():
 )
 def test_count_n6_values(triple, expected):
     assert count_n6(CanonicalOffset(*triple)) == expected
+
+
+@given(canonical_offsets(max_value=60))
+def test_count_n6_is_the_factorial_quotient(off):
+    i, j, k = off.as_triple()
+    assert count_n6(off) == factorial(i + j + k) // (factorial(i) * factorial(j) * factorial(k))
 
 
 @given(st.integers(1, 25), st.integers(1, 25), st.integers(1, 25))
@@ -303,9 +305,8 @@ def test_halfcase_even_sum_is_a_multinomial(off):
     i, j, k = off.as_triple()
     if i <= j + k and (i + j + k) % 2 == 0:
         steps = (i + j + k) // 2
-        assert count_n18_halfcase(off) == multinomial(
-            steps, (steps - i, steps - j, steps - k)
-        )
+        parts = factorial(steps - i) * factorial(steps - j) * factorial(steps - k)
+        assert count_n18_halfcase(off) == factorial(steps) // parts
 
 
 def test_nine_five_four_counts_to_126_under_both_formulas():
@@ -404,7 +405,37 @@ def test_richer_neighborhoods_at_zero_offset(off):
 def test_counts_stay_exact_at_large_coordinates():
     # Big enough that 64-bit arithmetic would have overflowed long ago.
     off = CanonicalOffset(120, 80, 40)
-    assert count_n6(off) == multinomial(240, (120, 80, 40))
+    assert count_n6(off) == factorial(240) // (factorial(120) * factorial(80) * factorial(40))
     assert count_n6(off).bit_length() > 64
     assert count_paths(off, Neighborhood.N18) > 0
     assert count_n26(off) == count_n8_2d(120, 80) * count_n8_2d(120, 40)
+
+
+# ------------------------------------------------- far-field recurrence
+
+
+@pytest.mark.parametrize("neighborhood", list(Neighborhood))
+@pytest.mark.parametrize(
+    "triple",
+    [
+        (240, 10, 5),  # N18 max case
+        (241, 10, 5),  # its predecessors include the N18 max case at i = 240
+        (400, 399, 398),  # N18 half case
+        (201, 100, 100),  # N18 overlap, i == j + k + 1
+        (300, 150, 75),
+        (1000, 500, 250),
+    ],
+)
+def test_count_is_the_sum_over_geodesic_predecessors(triple, neighborhood):
+    # A shortest path to v ends with a step from a point one closer to the
+    # origin, so count(v) is the sum of count(u) over those predecessors u.
+    # Both sides come from the formulas, at sizes the oracle cannot reach;
+    # the identity is linear, so a formula off by a constant factor passes.
+    v = GridPoint(*triple)
+    steps = distance(v, ORIGIN, neighborhood)
+    total = 0
+    for move in admissible_moves(neighborhood):
+        u = GridPoint(v.x - move.dx, v.y - move.dy, v.z - move.dz)
+        if distance(u, ORIGIN, neighborhood) == steps - 1:
+            total += count_paths(canonicalize(u, ORIGIN), neighborhood)
+    assert count_paths(canonicalize(v, ORIGIN), neighborhood) == total
