@@ -13,16 +13,7 @@ from .core import (
     admissible_moves,
     canonicalize,
 )
-from .counting import (
-    N18Case,
-    classify_n18,
-    count_n6,
-    count_n8_2d,
-    count_n18_halfcase,
-    count_n18_maxcase,
-    count_n26,
-    count_paths,
-)
+from .counting import count_paths
 from .metrics import distance
 from .oracle import (
     PathList,
@@ -42,19 +33,12 @@ __all__ = [
     "CountTable",
     "GridPoint",
     "MoveStep",
-    "N18Case",
     "Neighborhood",
     "PathList",
     "TableEntry",
     "VerifyReport",
     "admissible_moves",
     "canonicalize",
-    "classify_n18",
-    "count_n6",
-    "count_n8_2d",
-    "count_n18_halfcase",
-    "count_n18_maxcase",
-    "count_n26",
     "count_paths",
     "distance",
     "enumerate_shortest_paths",

@@ -1,8 +1,9 @@
 """Value types shared by the whole package: grid points, connectivities,
 unit steps and symmetry-reduced displacements.
 
-The point, step and offset types are immutable named tuples: they unpack,
-hash and compare (lexicographically) as the plain tuple of their fields.
+The point, step and offset types are immutable named tuples of ints: they
+unpack, hash and compare (lexicographically) as the plain tuple of their
+fields.
 """
 
 from __future__ import annotations
@@ -10,24 +11,6 @@ from __future__ import annotations
 from enum import Enum
 from itertools import product
 from typing import NamedTuple
-
-
-class GridPoint(NamedTuple):
-    """A point of the cubic grid Z^3. Coordinates are unbounded."""
-
-    x: int
-    y: int
-    z: int
-
-    def displacement_from(self, other: "GridPoint") -> tuple[int, int, int]:
-        """Componentwise self - other."""
-        return (self.x - other.x, self.y - other.y, self.z - other.z)
-
-    def as_tuple(self) -> tuple[int, int, int]:
-        return (self.x, self.y, self.z)
-
-
-ORIGIN = GridPoint(0, 0, 0)
 
 
 class Neighborhood(Enum):
@@ -43,9 +26,40 @@ def unknown_neighborhood(value: object) -> ValueError:
     return ValueError(f"unknown neighborhood: {value!r}")
 
 
-# a class-syntax NamedTuple may not define __new__, so the validating types
-# below subclass the functional form and check their fields in __new__; their
-# _make (which _replace calls) goes through that check too
+def _non_integer(kind: str, components: tuple) -> TypeError:
+    """The one refusal of components that are not all exactly int (so a
+    float, a bool or a string is refused even where it equals an int)."""
+    return TypeError(f"{kind} components must be int: {components!r}")
+
+
+# a class-syntax NamedTuple may not define __new__, so the three grid types
+# subclass the functional form and check their fields in __new__; their _make
+# (which _replace calls) goes through that check too
+
+
+class GridPoint(NamedTuple("GridPoint", [("x", int), ("y", int), ("z", int)])):
+    """A point of the cubic grid Z^3. Coordinates are unbounded ints."""
+
+    __slots__ = ()
+
+    def __new__(cls, x: int, y: int, z: int) -> GridPoint:
+        if type(x) is not int or type(y) is not int or type(z) is not int:
+            raise _non_integer("grid point", (x, y, z))
+        return super().__new__(cls, x, y, z)
+
+    @classmethod
+    def _make(cls, iterable) -> GridPoint:
+        return cls(*iterable)
+
+    def displacement_from(self, other: GridPoint) -> tuple[int, int, int]:
+        """Componentwise self - other."""
+        return (self.x - other.x, self.y - other.y, self.z - other.z)
+
+    def as_tuple(self) -> tuple[int, int, int]:
+        return (self.x, self.y, self.z)
+
+
+ORIGIN = GridPoint(0, 0, 0)
 
 
 class MoveStep(NamedTuple("MoveStep", [("dx", int), ("dy", int), ("dz", int)])):
@@ -59,6 +73,8 @@ class MoveStep(NamedTuple("MoveStep", [("dx", int), ("dy", int), ("dz", int)])):
     __slots__ = ()
 
     def __new__(cls, dx: int, dy: int, dz: int) -> MoveStep:
+        if type(dx) is not int or type(dy) is not int or type(dz) is not int:
+            raise _non_integer("step", (dx, dy, dz))
         if not all(c in (-1, 0, 1) for c in (dx, dy, dz)):
             raise ValueError(f"step components must be -1, 0 or 1: {(dx, dy, dz)}")
         if dx == 0 and dy == 0 and dz == 0:
@@ -99,6 +115,8 @@ class CanonicalOffset(NamedTuple("CanonicalOffset", [("i", int), ("j", int), ("k
     __slots__ = ()
 
     def __new__(cls, i: int, j: int, k: int) -> CanonicalOffset:
+        if type(i) is not int or type(j) is not int or type(k) is not int:
+            raise _non_integer("canonical offset", (i, j, k))
         if not i >= j >= k >= 0:
             raise ValueError(f"canonical offset needs i >= j >= k >= 0: {(i, j, k)}")
         return super().__new__(cls, i, j, k)

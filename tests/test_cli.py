@@ -11,8 +11,10 @@ import pytest
 
 import cubepaths
 
+from cubepaths import counting, verify
 from cubepaths.cli import EXIT_MISMATCH, EXIT_OK, EXIT_USAGE, run
-from cubepaths.core import GridPoint
+from cubepaths.core import GridPoint, Neighborhood
+from cubepaths.oracle import oracle_count
 from cubepaths.tables import decimal_string
 from cubepaths.verify import VerifyReport
 
@@ -217,6 +219,32 @@ def test_verify_mismatch_beyond_the_int_to_str_cap(capsys, monkeypatch):
     assert code == EXIT_MISMATCH
     (mismatch,) = json.loads(out)[0]["mismatches"]
     assert mismatch == {"point": [1, 0, 0], "formula": formula, "oracle": oracle}
+
+
+def test_the_real_sweep_finds_a_faulty_half_sum_kernel(capsys, monkeypatch):
+    # both bindings: count_paths reaches the kernel through counting, and
+    # the sweep's direct second formula on the overlap through verify
+    true_halfcase = counting.count_n18_halfcase
+    for module in (counting, verify):
+        monkeypatch.setattr(module, "count_n18_halfcase", lambda off: true_halfcase(off) + 1)
+    report = verify.verify_region(3, Neighborhood.N18)
+    # every point where the half sum applies: 7 half-case and 10 overlap points
+    halfsum_points = [
+        GridPoint(i, j, k)
+        for i in range(4)
+        for j in range(i + 1)
+        for k in range(j + 1)
+        if i <= j + k + 1
+    ]
+    assert len(halfsum_points) == 17
+    assert report.checked == 20
+    assert report.mismatches == tuple(
+        (point, oracle_count(point, Neighborhood.N18) + 1, oracle_count(point, Neighborhood.N18))
+        for point in halfsum_points
+    )
+    code, out, _ = invoke(capsys, "verify", "--extent", "3", "-n", "18")
+    assert code == EXIT_MISMATCH
+    assert out.splitlines()[0] == "N18: checked 20 canonical points (extent 3), mismatches 17"
 
 
 def test_verify_rejects_negative_extent(capsys):

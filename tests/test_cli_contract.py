@@ -10,11 +10,10 @@ the same change and says so:
 import io
 import json
 import os
+import re
 import sys
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
-
-import pytest
 
 from cubepaths.cli import run
 
@@ -118,10 +117,13 @@ def pytest_generate_tests(metafunc):
 
 
 def test_cli_output_matches_the_golden_file(entry, monkeypatch):
-    if sys.version_info >= (3, 13) and entry["args"][1:] == ["--help"]:
+    if sys.version_info >= (3, 13):
         # 3.13's argparse lists a short and long option with choices once:
-        # "-n, --neighborhood {...}" instead of repeating the choices
-        pytest.skip("subcommand help is formatted differently from Python 3.13 on")
+        # "-n, --neighborhood {...}" instead of "-n {...}, --neighborhood {...}"
+        stdout = re.sub(
+            r"-n (\{[^}]*\}), --neighborhood \1", r"-n, --neighborhood \1", entry["stdout"]
+        )
+        entry = {**entry, "stdout": stdout}
     monkeypatch.setenv("COLUMNS", "80")  # help text wraps at the terminal width
     assert invoke(entry["args"]) == entry
 

@@ -2,6 +2,7 @@
 
 import copy
 import pickle
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -190,3 +191,23 @@ def test_named_tuple_helpers_still_validate():
         CanonicalOffset(3, 2, 1)._replace(k=5)
     with pytest.raises(ValueError):
         MoveStep._make((0, 2, 0))
+
+
+# how each validated type names itself when it refuses a component
+KIND_WORDS = {GridPoint: "grid point", MoveStep: "step", CanonicalOffset: "canonical offset"}
+
+
+@pytest.mark.parametrize("bad", [1.5, 2.0, True, "3"], ids=repr)
+@pytest.mark.parametrize("kind,fields,components", VALUES, ids=VALUE_IDS)
+def test_components_that_are_not_exactly_int_are_refused(kind, fields, components, bad):
+    # a float, a bool or a string is refused even where it equals an int, in
+    # the constructor and through _make and _replace, with one TypeError
+    for position, field in enumerate(fields):
+        wrong = components[:position] + (bad,) + components[position + 1:]
+        message = re.escape(f"{KIND_WORDS[kind]} components must be int: {wrong!r}")
+        with pytest.raises(TypeError, match=f"^{message}$"):
+            kind(*wrong)
+        with pytest.raises(TypeError, match=f"^{message}$"):
+            kind._make(wrong)
+        with pytest.raises(TypeError, match=f"^{message}$"):
+            kind(*components)._replace(**{field: bad})

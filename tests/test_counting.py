@@ -166,6 +166,56 @@ def test_single_sum_equals_the_modular_direct_sum_far_beyond_oracle_reach(triple
     assert reference.matches(18, triple, _single_sum_n18_maxcase(*triple))
 
 
+def test_single_sum_term_ratio_certificate():
+    # t(m) = C(i, m) C(m, a) C(m, b) with a = (m + j + k)/2, b = (m + j - k)/2;
+    # m -> m + 2 moves a and b up by one, so each term follows from the
+    # previous one by one multiplication and one exact division
+    sympy = pytest.importorskip("sympy")
+    i, m, a, b = sympy.symbols("i m a b")
+    binomial = sympy.binomial
+    term = binomial(i, m) * binomial(m, a) * binomial(m, b)
+    shifted = binomial(i, m + 2) * binomial(m + 2, a + 1) * binomial(m + 2, b + 1)
+    ratio = (i - m) * (i - m - 1) * (m + 1) * (m + 2) / (
+        (a + 1) * (m + 1 - a) * (b + 1) * (m + 1 - b)
+    )
+    assert sympy.combsimp(shifted / term - ratio) == 0
+
+
+# ---------------------------------------------- planar recurrence (reference)
+#
+# The planar count to (n, j) is the coefficient of x^(n + j) in
+# (1 + x + x^2)^n: each of the n steps moves y by -1, 0 or +1.  P = (1 + x +
+# x^2)^n satisfies P' (1 + x + x^2) = n (1 + 2x) P; comparing the
+# coefficients of x^q gives (q + 1) c(q + 1) = (n - q) c(q) + (2n - q + 1)
+# c(q - 1), an O(n + j) walk from c(-1) = 0, c(0) = 1.
+
+
+def _planar_by_recurrence(n, j):
+    before, c = 0, 1
+    for q in range(n + j):
+        before, c = c, ((n - q) * c + (2 * n - q + 1) * before) // (q + 1)
+    return c
+
+
+def test_planar_recurrence_equals_the_planar_count_on_sweep():
+    for n in range(61):
+        for j in range(n + 1):
+            assert _planar_by_recurrence(n, j) == count_n8_2d(n, j), (n, j)
+
+
+@pytest.mark.parametrize("pair", [(6000, 3000), (4000, 0)])
+def test_planar_recurrence_equals_the_modular_direct_sum_far_beyond_oracle_reach(pair):
+    reference = _perfbench_reference().ModularCounts()
+    assert reference.matches(8, (*pair, 0), _planar_by_recurrence(*pair))
+
+
+def test_planar_recurrence_certificate():
+    sympy = pytest.importorskip("sympy")
+    n, x = sympy.symbols("n x")
+    p = (1 + x + x**2) ** n
+    assert sympy.simplify(sympy.diff(p, x) * (1 + x + x**2) - n * (1 + 2 * x) * p) == 0
+
+
 # ------------------------------------------------------- face connectivity
 
 
@@ -371,6 +421,28 @@ def test_count_paths_dispatches():
     assert count_paths(off, Neighborhood.N6) == 60
     assert count_paths(off, Neighborhood.N18) == 3
     assert count_paths(off, Neighborhood.N26) == 18
+
+
+def test_the_package_exports_the_dispatcher_and_not_the_kernels_behind_it():
+    import cubepaths
+    import cubepaths.counting as counting
+
+    kernels = (
+        N18Case,
+        classify_n18,
+        count_n6,
+        count_n8_2d,
+        count_n18_halfcase,
+        count_n18_maxcase,
+        count_n26,
+    )
+    assert cubepaths.count_paths is count_paths and "count_paths" in cubepaths.__all__
+    for kernel in kernels:
+        # one binding each, in counting, where tables, verify and the tests import it
+        assert getattr(counting, kernel.__name__) is kernel
+        assert kernel.__module__ == "cubepaths.counting"
+        assert kernel.__name__ not in cubepaths.__all__
+        assert kernel.__name__ not in dir(cubepaths)
 
 
 # every public entry that takes a neighborhood, called with a valid rest
