@@ -26,6 +26,13 @@ def unknown_neighborhood(value: object) -> ValueError:
     return ValueError(f"unknown neighborhood: {value!r}")
 
 
+def non_int_argument(**arguments: object) -> TypeError:
+    """The one refusal of raw-int parameters: names the first of the given
+    parameters whose value is not exactly int (so ``True`` and ``2.0`` too)."""
+    name, value = next((n, v) for n, v in arguments.items() if type(v) is not int)
+    return TypeError(f"{name} must be int: {value!r}")
+
+
 def _non_integer(kind: str, components: tuple) -> TypeError:
     """The one refusal of components that are not all exactly int (so a
     float, a bool or a string is refused even where it equals an int)."""

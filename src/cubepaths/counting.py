@@ -10,7 +10,7 @@ from __future__ import annotations
 from enum import Enum
 from math import comb
 
-from .core import CanonicalOffset, Neighborhood, unknown_neighborhood
+from .core import CanonicalOffset, Neighborhood, non_int_argument, unknown_neighborhood
 
 
 def count_n6(off: CanonicalOffset) -> int:
@@ -38,6 +38,8 @@ def count_n8_2d(i: int, j: int) -> int:
     is the sum over b of multinomial(i; b, j+b, i-j-2b) = C(i, b) C(i-b, j+b):
     the slots of the falling diagonals, then the rising ones among the rest.
     """
+    if type(i) is not int or type(j) is not int:
+        raise non_int_argument(i=i, j=j)
     if not i >= j >= 0:
         raise ValueError(f"count_n8_2d needs i >= j >= 0, got ({i}, {j})")
     return _planar(i, j)

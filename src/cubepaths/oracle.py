@@ -9,11 +9,12 @@ against plain BFS in their own tests.
 
 from __future__ import annotations
 
+import sys
 from collections import defaultdict
 from itertools import islice
 from typing import Callable, Iterator, NamedTuple
 
-from .core import GridPoint, MoveStep, Neighborhood, admissible_moves
+from .core import GridPoint, MoveStep, Neighborhood, admissible_moves, non_int_argument
 from .metrics import displacement_metric
 
 DEFAULT_ENUMERATION_LIMIT = 10_000
@@ -54,6 +55,8 @@ def oracle_count_2d(i: int, j: int) -> int:
     Every visited point stays in the z = 0 plane, where the L-infinity
     metric of full connectivity is the chessboard metric.
     """
+    if type(i) is not int or type(j) is not int:
+        raise non_int_argument(i=i, j=j)
     # exact tuples, as in oracle_count
     moves = sorted(
         m.as_tuple() for m in admissible_moves(Neighborhood.N26) if m.dz == 0
@@ -135,7 +138,11 @@ def enumerate_shortest_paths(
     the result is marked truncated.  Counts explode with distance, so an
     unbounded enumeration is deliberately not offered.
     """
+    if type(limit) is not int:
+        raise non_int_argument(limit=limit)
     if limit < 1:
         raise ValueError(f"limit must be positive, got {limit}")
-    paths = tuple(islice(iter_shortest_paths(target, neighborhood), limit + 1))
-    return PathList(paths=paths[:limit], truncated=len(paths) > limit)
+    walk = iter_shortest_paths(target, neighborhood)
+    # islice stops at most at sys.maxsize; no larger listing fits in memory
+    paths = tuple(islice(walk, min(limit, sys.maxsize)))
+    return PathList(paths=paths, truncated=next(walk, None) is not None)

@@ -10,7 +10,7 @@ from __future__ import annotations
 from itertools import permutations, product
 from typing import NamedTuple
 
-from .core import CanonicalOffset, GridPoint, Neighborhood
+from .core import CanonicalOffset, GridPoint, Neighborhood, non_int_argument
 from .counting import count_n8_2d, count_paths
 from .metrics import displacement_metric
 
@@ -46,6 +46,8 @@ def shell_table(
     which avoids reporting each value up to 48 times; ``expand_symmetry``
     restores the full shell for reproducing complete distance spheres.
     """
+    if type(length) is not int:
+        raise non_int_argument(length=length)
     if length < 0:
         raise ValueError(f"length must be nonnegative, got {length}")
     dist = displacement_metric(neighborhood)
@@ -70,6 +72,8 @@ def slice_table_2d(max_i: int) -> CountTable:
     Points are reported in the z=0 plane; each row's distance is i, the
     chessboard distance of (i, j) from the origin.
     """
+    if type(max_i) is not int:
+        raise non_int_argument(max_i=max_i)
     if max_i < 0:
         raise ValueError(f"max_i must be nonnegative, got {max_i}")
     entries = [

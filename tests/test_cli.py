@@ -169,6 +169,13 @@ def test_paths_rejects_nonpositive_limit(capsys):
     assert err == "cubepaths: error: --limit must be positive, got 0\n"
 
 
+def test_paths_takes_a_limit_beyond_sys_maxsize(capsys):
+    code, out, err = invoke(
+        capsys, "paths", "--to", "1,1,0", "-n", "18", "--limit", "99999999999999999999"
+    )
+    assert (code, out, err) == (EXIT_OK, "1,1,0\n", "")
+
+
 # ------------------------------------------------------------------ verify
 
 

@@ -67,6 +67,7 @@ def invocations() -> list[list[str]]:
         ["paths", "--from", "1,1,1", "--to", "2,3,1", "-n", "18"],
         ["paths", "--to", "1,1,1", "-n", "6", "--limit", "0"],
         ["paths", "--to", "1,1,1", "-n", "6", "--format", "csv"],
+        ["paths", "--to", "1,1,0", "-n", "18", "--limit", "99999999999999999999"],
     ]
 
     for n in ("6", "18", "26", "all"):

@@ -5,6 +5,7 @@ the docstrings; agreement with the independent graph-search oracle is tested
 separately (test_oracle.py and the acceptance suite).
 """
 
+import importlib
 import importlib.util
 import math
 from math import factorial
@@ -18,6 +19,7 @@ from cubepaths.core import (
     ORIGIN,
     CanonicalOffset,
     GridPoint,
+    MoveStep,
     Neighborhood,
     admissible_moves,
     canonicalize,
@@ -33,9 +35,15 @@ from cubepaths.counting import (
     count_paths,
 )
 from cubepaths.metrics import displacement_metric, distance
-from cubepaths.oracle import enumerate_shortest_paths, iter_shortest_paths, oracle_count
-from cubepaths.tables import shell_table
-from cubepaths.verify import verify_region
+from cubepaths.oracle import (
+    PathList,
+    enumerate_shortest_paths,
+    iter_shortest_paths,
+    oracle_count,
+    oracle_count_2d,
+)
+from cubepaths.tables import CountTable, TableEntry, shell_table, slice_table_2d
+from cubepaths.verify import VerifyReport, verify_region
 
 
 @st.composite
@@ -427,6 +435,26 @@ def test_the_package_exports_the_dispatcher_and_not_the_kernels_behind_it():
     import cubepaths
     import cubepaths.counting as counting
 
+    # the entry points and the types callers pass them, each bound in the
+    # package as in the module that defines it
+    kept = {
+        "ORIGIN": "core",
+        "CanonicalOffset": "core",
+        "GridPoint": "core",
+        "Neighborhood": "core",
+        "canonicalize": "core",
+        "count_paths": "counting",
+        "distance": "metrics",
+        "enumerate_shortest_paths": "oracle",
+        "oracle_count": "oracle",
+        "oracle_count_2d": "oracle",
+        "shell_table": "tables",
+        "slice_table_2d": "tables",
+        "verify_region": "verify",
+    }
+    assert cubepaths.__all__ == list(kept)
+    for name, module in kept.items():
+        assert getattr(cubepaths, name) is getattr(importlib.import_module(f"cubepaths.{module}"), name)
     kernels = (
         N18Case,
         classify_n18,
@@ -436,13 +464,23 @@ def test_the_package_exports_the_dispatcher_and_not_the_kernels_behind_it():
         count_n18_maxcase,
         count_n26,
     )
-    assert cubepaths.count_paths is count_paths and "count_paths" in cubepaths.__all__
     for kernel in kernels:
         # one binding each, in counting, where tables, verify and the tests import it
         assert getattr(counting, kernel.__name__) is kernel
         assert kernel.__module__ == "cubepaths.counting"
-        assert kernel.__name__ not in cubepaths.__all__
         assert kernel.__name__ not in dir(cubepaths)
+    helpers = {
+        "core": (MoveStep, admissible_moves),
+        "oracle": (PathList, iter_shortest_paths),
+        "tables": (TableEntry, CountTable),
+        "verify": (VerifyReport,),
+    }
+    for module, names in helpers.items():
+        for helper in names:
+            # one binding each, unchanged, in the module that defines it
+            assert getattr(importlib.import_module(f"cubepaths.{module}"), helper.__name__) is helper
+            assert helper.__module__ == f"cubepaths.{module}"
+            assert helper.__name__ not in dir(cubepaths)
 
 
 # every public entry that takes a neighborhood, called with a valid rest
@@ -465,6 +503,31 @@ def test_every_entry_refuses_what_is_not_a_neighborhood(entry, neighborhood):
     with pytest.raises(ValueError) as refused:
         _NEIGHBORHOOD_ENTRIES[entry](neighborhood)
     assert str(refused.value) == f"unknown neighborhood: {neighborhood!r}"
+
+
+# every raw-int parameter of a public entry, called with a valid rest
+_INT_PARAMETERS = {
+    "shell_table(length)": lambda v: shell_table(Neighborhood.N6, v),
+    "slice_table_2d(max_i)": slice_table_2d,
+    "verify_region(extent)": lambda v: verify_region(v, Neighborhood.N6),
+    "oracle_count_2d(i)": lambda v: oracle_count_2d(v, 0),
+    "oracle_count_2d(j)": lambda v: oracle_count_2d(2, v),
+    "count_n8_2d(i)": lambda v: count_n8_2d(v, 0),
+    "count_n8_2d(j)": lambda v: count_n8_2d(2, v),
+    "enumerate_shortest_paths(limit)": lambda v: enumerate_shortest_paths(
+        GridPoint(1, 1, 0), Neighborhood.N6, v
+    ),
+}
+
+
+@pytest.mark.parametrize("value", [True, 2.0, 2.5, "2"])
+@pytest.mark.parametrize("entry", list(_INT_PARAMETERS))
+def test_every_raw_int_parameter_refuses_what_is_not_exactly_int(entry, value):
+    # a bool or a float used to pass as 1, 0 or 2, or to die deep inside
+    with pytest.raises(TypeError) as refused:
+        _INT_PARAMETERS[entry](value)
+    parameter = entry[entry.index("(") + 1 : -1]
+    assert str(refused.value) == f"{parameter} must be int: {value!r}"
 
 
 @given(canonical_offsets(max_value=15))

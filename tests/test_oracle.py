@@ -175,6 +175,16 @@ def test_enumerate_paths_deeper_than_the_recursion_limit():
     assert [path[0].as_tuple() for path in result.paths] == [(0, 1, 0), (1, 0, 0), (1, 0, 0)]
 
 
+def test_enumerate_takes_a_limit_beyond_sys_maxsize():
+    # islice refuses a stop above sys.maxsize; the listing must not
+    result = enumerate_shortest_paths(GridPoint(1, 1, 0), Neighborhood.N6, limit=2**64)
+    assert not result.truncated
+    assert [[step.as_tuple() for step in path] for path in result.paths] == [
+        [(0, 1, 0), (1, 0, 0)],
+        [(1, 0, 0), (0, 1, 0)],
+    ]
+
+
 def test_enumerate_rejects_nonpositive_limit():
     with pytest.raises(ValueError):
         enumerate_shortest_paths(GridPoint(1, 0, 0), Neighborhood.N6, limit=0)
