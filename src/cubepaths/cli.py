@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import os
 import re
-import signal
 import sys
 from typing import Optional, Sequence
 
@@ -196,8 +195,7 @@ def _cmd_table(ns: argparse.Namespace) -> int:
         (neighborhood,) = _neighborhoods(ns.neighborhood)
         table = shell_table(neighborhood, ns.length, expand_symmetry=ns.expand_symmetry)
     renderer = {"text": to_text, "csv": to_csv, "tsv": to_tsv, "json": to_json}[ns.format]
-    output = renderer(table)
-    sys.stdout.write(output if output.endswith("\n") else output + "\n")
+    sys.stdout.write(renderer(table))
     return EXIT_OK
 
 
@@ -309,13 +307,11 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
 
 
 def main() -> None:
-    if hasattr(signal, "SIGPIPE"):  # like cat, die of it once the reader is gone
-        signal.signal(signal.SIGPIPE, signal.SIG_DFL)
     try:
         code = run(sys.argv[1:])
         sys.stdout.flush()
     except BrokenPipeError:
-        # no SIGPIPE: stdout to devnull, or shutdown reports "Exception ignored"
+        # the reader is gone: stdout to devnull, or shutdown reports "Exception ignored"
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         code = EXIT_OK
     sys.exit(code)

@@ -33,6 +33,13 @@ def non_int_argument(**arguments: object) -> TypeError:
     return TypeError(f"{name} must be int: {value!r}")
 
 
+def wrong_value_type(expected: type, **arguments: object) -> TypeError:
+    """The one refusal of value-type parameters: names the first of the given
+    parameters whose value is not an instance of ``expected``."""
+    name, value = next((n, v) for n, v in arguments.items() if not isinstance(v, expected))
+    return TypeError(f"{name} must be {expected.__name__}: {value!r}")
+
+
 def _non_integer(kind: str, components: tuple) -> TypeError:
     """The one refusal of components that are not all exactly int (so a
     float, a bool or a string is refused even where it equals an int)."""
@@ -139,4 +146,6 @@ class CanonicalOffset(NamedTuple("CanonicalOffset", [("i", int), ("j", int), ("k
 def canonicalize(p: GridPoint, q: GridPoint) -> CanonicalOffset:
     """Reduce the displacement p - q to its canonical offset: the absolute
     components sorted in descending order."""
+    if not (isinstance(p, GridPoint) and isinstance(q, GridPoint)):
+        raise wrong_value_type(GridPoint, p=p, q=q)
     return CanonicalOffset(*sorted(map(abs, p.displacement_from(q)), reverse=True))

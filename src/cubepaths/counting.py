@@ -10,7 +10,13 @@ from __future__ import annotations
 from enum import Enum
 from math import comb
 
-from .core import CanonicalOffset, Neighborhood, non_int_argument, unknown_neighborhood
+from .core import (
+    CanonicalOffset,
+    Neighborhood,
+    non_int_argument,
+    unknown_neighborhood,
+    wrong_value_type,
+)
 
 
 def count_n6(off: CanonicalOffset) -> int:
@@ -129,6 +135,8 @@ def count_paths(
     formulas run and a disagreement (impossible unless a formula is
     broken) raises.
     """
+    if not isinstance(off, CanonicalOffset):
+        raise wrong_value_type(CanonicalOffset, off=off)
     if neighborhood is Neighborhood.N6:
         return count_n6(off)
     if neighborhood is Neighborhood.N26:

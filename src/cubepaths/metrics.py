@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from typing import Callable
 
-from .core import GridPoint, Neighborhood, unknown_neighborhood
+from .core import GridPoint, Neighborhood, unknown_neighborhood, wrong_value_type
 
 
 def _l1(dx: int, dy: int, dz: int) -> int:
@@ -41,4 +41,6 @@ def displacement_metric(neighborhood: Neighborhood) -> Callable[[int, int, int],
 
 def distance(p: GridPoint, q: GridPoint, neighborhood: Neighborhood) -> int:
     """Digital distance between two points for the given connectivity."""
+    if not (isinstance(p, GridPoint) and isinstance(q, GridPoint)):
+        raise wrong_value_type(GridPoint, p=p, q=q)
     return displacement_metric(neighborhood)(*p.displacement_from(q))

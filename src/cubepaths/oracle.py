@@ -14,7 +14,14 @@ from collections import defaultdict
 from itertools import islice
 from typing import Callable, Iterator, NamedTuple
 
-from .core import GridPoint, MoveStep, Neighborhood, admissible_moves, non_int_argument
+from .core import (
+    GridPoint,
+    MoveStep,
+    Neighborhood,
+    admissible_moves,
+    non_int_argument,
+    wrong_value_type,
+)
 from .metrics import displacement_metric
 
 DEFAULT_ENUMERATION_LIMIT = 10_000
@@ -43,6 +50,8 @@ def oracle_count(target: GridPoint, neighborhood: Neighborhood) -> int:
     lies on some geodesic.  Its count is the sum over its surviving
     predecessors.  The DP therefore touches O((2d+1)^3) points at worst.
     """
+    if not isinstance(target, GridPoint):
+        raise wrong_value_type(GridPoint, target=target)
     # exact tuples unpack faster than named tuples in the DP's inner loop
     moves = sorted(m.as_tuple() for m in admissible_moves(neighborhood))
     return _layered_count(target.as_tuple(), moves, displacement_metric(neighborhood))
@@ -138,6 +147,8 @@ def enumerate_shortest_paths(
     the result is marked truncated.  Counts explode with distance, so an
     unbounded enumeration is deliberately not offered.
     """
+    if not isinstance(target, GridPoint):
+        raise wrong_value_type(GridPoint, target=target)
     if type(limit) is not int:
         raise non_int_argument(limit=limit)
     if limit < 1:

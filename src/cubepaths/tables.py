@@ -129,7 +129,8 @@ def to_tsv(table: CountTable) -> str:
 
 
 def to_json(table: CountTable) -> str:
-    """Serialize as a JSON array of {point, distance, count} objects."""
+    """Serialize as a JSON array of {point, distance, count} objects, on one
+    line that ends with a newline like every other renderer's output."""
     import json  # only JSON output needs it; a bare count request skips the import
 
     rows = [
@@ -140,7 +141,7 @@ def to_json(table: CountTable) -> str:
         }
         for point, dist, count in table.entries
     ]
-    return json.dumps(rows)
+    return json.dumps(rows) + "\n"
 
 
 def to_text(table: CountTable) -> str:

@@ -440,9 +440,10 @@ def test_python_dash_m_runs_the_cli():
 def test_a_reader_that_closes_the_pipe_early_ends_the_cli_quietly():
     # far more output than a pipe buffers, so the CLI is still writing when
     # the reader goes away, as under `cubepaths paths ... | head -1`
+    # (-X dev -W error turns a warning at shutdown into a failure too)
     proc = subprocess.Popen(
-        [sys.executable, "-m", "cubepaths", "paths", "--to", "12,7,3", "-n", "6",
-         "--limit", "20000"],
+        [sys.executable, "-X", "dev", "-W", "error", "-m", "cubepaths", "paths",
+         "--to", "12,7,3", "-n", "6", "--limit", "20000"],
         stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,
         text=True,
@@ -453,7 +454,8 @@ def test_a_reader_that_closes_the_pipe_early_ends_the_cli_quietly():
     _, err = proc.communicate(timeout=60)
     assert first.split()[0] == "0,0,1"
     assert "Traceback" not in err and "Exception ignored" not in err, err
-    assert proc.returncode not in (EXIT_USAGE, EXIT_MISMATCH)
+    # one way out on every platform: a quiet success, not death by SIGPIPE
+    assert proc.returncode == EXIT_OK
 
 
 def test_cli_import_loads_no_module_a_count_request_does_not_need():

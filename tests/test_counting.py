@@ -505,6 +505,41 @@ def test_every_entry_refuses_what_is_not_a_neighborhood(entry, neighborhood):
     assert str(refused.value) == f"unknown neighborhood: {neighborhood!r}"
 
 
+# every value-type parameter of a top-level entry: its type and a call with a valid rest
+_VALUE_PARAMETERS = {
+    "distance(p)": (GridPoint, lambda v: distance(v, ORIGIN, Neighborhood.N6)),
+    "distance(q)": (GridPoint, lambda v: distance(ORIGIN, v, Neighborhood.N6)),
+    "canonicalize(p)": (GridPoint, lambda v: canonicalize(v, ORIGIN)),
+    "canonicalize(q)": (GridPoint, lambda v: canonicalize(ORIGIN, v)),
+    "count_paths(off)": (CanonicalOffset, lambda v: count_paths(v, Neighborhood.N6)),
+    "oracle_count(target)": (GridPoint, lambda v: oracle_count(v, Neighborhood.N6)),
+    "enumerate_shortest_paths(target)": (
+        GridPoint,
+        lambda v: enumerate_shortest_paths(v, Neighborhood.N6),
+    ),
+}
+_VALUES = [(1, 1, 0), GridPoint(1, 1, 0), CanonicalOffset(1, 1, 0), MoveStep(1, 1, 0), None]
+
+
+@pytest.mark.parametrize(
+    "entry, value",
+    [
+        pytest.param(entry, value, id=f"{entry}-{value!r}")
+        for entry, (kind, _) in _VALUE_PARAMETERS.items()
+        for value in _VALUES
+        if not isinstance(value, kind)
+    ],
+)
+def test_every_value_type_parameter_refuses_another_type(entry, value):
+    # a wrong type used to die on an internal method (as_triple, as_tuple,
+    # displacement_from), or, for a MoveStep target, to pass by accident
+    kind, call = _VALUE_PARAMETERS[entry]
+    with pytest.raises(TypeError) as refused:
+        call(value)
+    parameter = entry[entry.index("(") + 1 : -1]
+    assert str(refused.value) == f"{parameter} must be {kind.__name__}: {value!r}"
+
+
 # every raw-int parameter of a public entry, called with a valid rest
 _INT_PARAMETERS = {
     "shell_table(length)": lambda v: shell_table(Neighborhood.N6, v),

@@ -186,9 +186,12 @@ def test_to_text_aligns_and_includes_header():
 
 
 def test_serializers_use_lf_newlines_only():
-    table = shell_table(Neighborhood.N26, 2)
-    for serializer in (to_csv, to_tsv, to_json, to_text):
-        assert "\r" not in serializer(table)
+    for table in (shell_table(Neighborhood.N26, 2), CountTable(entries=())):
+        for serializer in (to_csv, to_tsv, to_json, to_text):
+            output = serializer(table)
+            assert "\r" not in output
+            # whole lines: the output ends in exactly one newline
+            assert output.endswith("\n") and not output.endswith("\n\n"), serializer
 
 
 def test_serializers_on_empty_table():
