@@ -13,7 +13,7 @@ import re
 import sys
 from typing import Optional, Sequence
 
-from .core import ORIGIN, GridPoint, Neighborhood, canonicalize
+from .core import ORIGIN, GridPoint, Neighborhood, canonicalize, check_size
 from .counting import count_paths
 from .metrics import distance
 from .oracle import DEFAULT_ENUMERATION_LIMIT, enumerate_shortest_paths, oracle_count
@@ -85,6 +85,14 @@ def _parse_point(text: str) -> GridPoint:
     return GridPoint(x, y, z)
 
 
+def _check_option(option: str, value: int, least: int) -> None:
+    # the library's size rule, worded for the option, as a usage error
+    try:
+        check_size(option, value, least)
+    except ValueError as exc:
+        raise _UsageError(str(exc)) from None
+
+
 def _neighborhoods(token: str) -> tuple[Neighborhood, ...]:
     # the parsers' choices admit only "all" and the tokens "6", "18", "26"
     return tuple(Neighborhood) if token == "all" else (Neighborhood(int(token)),)
@@ -114,8 +122,7 @@ def _cmd_values(ns: argparse.Namespace) -> int:
 
 
 def _cmd_paths(ns: argparse.Namespace) -> int:
-    if ns.limit < 1:
-        raise _UsageError(f"--limit must be positive, got {ns.limit}")
+    _check_option("--limit", ns.limit, 1)
     (neighborhood,) = _neighborhoods(ns.neighborhood)
     target = _displacement(ns)
     listing = enumerate_shortest_paths(target, neighborhood, limit=ns.limit)
@@ -142,8 +149,7 @@ def _cmd_paths(ns: argparse.Namespace) -> int:
 
 
 def _cmd_verify(ns: argparse.Namespace) -> int:
-    if ns.extent < 0:
-        raise _UsageError(f"--extent must be nonnegative, got {ns.extent}")
+    _check_option("--extent", ns.extent, 0)
     neighborhoods = _neighborhoods(ns.neighborhood)
     reports = [verify_region(ns.extent, n) for n in neighborhoods]
     if ns.format == "json":
@@ -184,14 +190,12 @@ def _cmd_table(ns: argparse.Namespace) -> int:
     if ns.slice_2d is not None:
         if ns.neighborhood is not None or ns.length is not None or ns.expand_symmetry:
             raise _UsageError("--slice-2d cannot be combined with -n/--length/--expand-symmetry")
-        if ns.slice_2d < 0:
-            raise _UsageError(f"--slice-2d must be nonnegative, got {ns.slice_2d}")
+        _check_option("--slice-2d", ns.slice_2d, 0)
         table = slice_table_2d(ns.slice_2d)
     else:
         if ns.neighborhood is None or ns.length is None:
             raise _UsageError("table requires -n and --length (or --slice-2d MAX_I)")
-        if ns.length < 0:
-            raise _UsageError(f"--length must be nonnegative, got {ns.length}")
+        _check_option("--length", ns.length, 0)
         (neighborhood,) = _neighborhoods(ns.neighborhood)
         table = shell_table(neighborhood, ns.length, expand_symmetry=ns.expand_symmetry)
     renderer = {"text": to_text, "csv": to_csv, "tsv": to_tsv, "json": to_json}[ns.format]

@@ -26,18 +26,20 @@ def unknown_neighborhood(value: object) -> ValueError:
     return ValueError(f"unknown neighborhood: {value!r}")
 
 
-def non_int_argument(**arguments: object) -> TypeError:
-    """The one refusal of raw-int parameters: names the first of the given
-    parameters whose value is not exactly int (so ``True`` and ``2.0`` too)."""
-    name, value = next((n, v) for n, v in arguments.items() if type(v) is not int)
-    return TypeError(f"{name} must be int: {value!r}")
+def check_type(name: str, value: object, kind: type) -> None:
+    """The one refusal of a parameter of the wrong type: a raw int must be
+    exactly ``int`` (so ``True`` and ``2.0`` are refused), any other type
+    an instance of ``kind``."""
+    if type(value) is not kind and (kind is int or not isinstance(value, kind)):
+        raise TypeError(f"{name} must be {kind.__name__}: {value!r}")
 
 
-def wrong_value_type(expected: type, **arguments: object) -> TypeError:
-    """The one refusal of value-type parameters: names the first of the given
-    parameters whose value is not an instance of ``expected``."""
-    name, value = next((n, v) for n, v in arguments.items() if not isinstance(v, expected))
-    return TypeError(f"{name} must be {expected.__name__}: {value!r}")
+def check_size(name: str, value: object, least: int) -> None:
+    """The one refusal of a size: exactly ``int``, then at least ``least``, 0 or 1."""
+    check_type(name, value, int)
+    if value < least:
+        rule = "nonnegative" if least == 0 else "positive"
+        raise ValueError(f"{name} must be {rule}, got {value}")
 
 
 def _non_integer(kind: str, components: tuple) -> TypeError:
@@ -46,12 +48,19 @@ def _non_integer(kind: str, components: tuple) -> TypeError:
     return TypeError(f"{kind} components must be int: {components!r}")
 
 
-# a class-syntax NamedTuple may not define __new__, so the three grid types
-# subclass the functional form and check their fields in __new__; their _make
-# (which _replace calls) goes through that check too
+class _CheckedMake:
+    # a class-syntax NamedTuple may not define __new__, so the three grid types
+    # subclass the functional form and check their fields in __new__; listed
+    # first among their bases, this sends _make (and so _replace) through it
+
+    __slots__ = ()
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
 
 
-class GridPoint(NamedTuple("GridPoint", [("x", int), ("y", int), ("z", int)])):
+class GridPoint(_CheckedMake, NamedTuple("GridPoint", [("x", int), ("y", int), ("z", int)])):
     """A point of the cubic grid Z^3. Coordinates are unbounded ints."""
 
     __slots__ = ()
@@ -60,10 +69,6 @@ class GridPoint(NamedTuple("GridPoint", [("x", int), ("y", int), ("z", int)])):
         if type(x) is not int or type(y) is not int or type(z) is not int:
             raise _non_integer("grid point", (x, y, z))
         return super().__new__(cls, x, y, z)
-
-    @classmethod
-    def _make(cls, iterable) -> GridPoint:
-        return cls(*iterable)
 
     def displacement_from(self, other: GridPoint) -> tuple[int, int, int]:
         """Componentwise self - other."""
@@ -76,7 +81,7 @@ class GridPoint(NamedTuple("GridPoint", [("x", int), ("y", int), ("z", int)])):
 ORIGIN = GridPoint(0, 0, 0)
 
 
-class MoveStep(NamedTuple("MoveStep", [("dx", int), ("dy", int), ("dz", int)])):
+class MoveStep(_CheckedMake, NamedTuple("MoveStep", [("dx", int), ("dy", int), ("dz", int)])):
     """A single step between neighboring grid points.
 
     Each component is -1, 0 or +1 and at least one is nonzero.  Steps order
@@ -94,10 +99,6 @@ class MoveStep(NamedTuple("MoveStep", [("dx", int), ("dy", int), ("dz", int)])):
         if dx == 0 and dy == 0 and dz == 0:
             raise ValueError("the null step is not a move")
         return super().__new__(cls, dx, dy, dz)
-
-    @classmethod
-    def _make(cls, iterable) -> MoveStep:
-        return cls(*iterable)
 
     def as_tuple(self) -> tuple[int, int, int]:
         return (self.dx, self.dy, self.dz)
@@ -119,7 +120,9 @@ def admissible_moves(neighborhood: Neighborhood) -> frozenset[MoveStep]:
         raise unknown_neighborhood(neighborhood) from None
 
 
-class CanonicalOffset(NamedTuple("CanonicalOffset", [("i", int), ("j", int), ("k", int)])):
+class CanonicalOffset(
+    _CheckedMake, NamedTuple("CanonicalOffset", [("i", int), ("j", int), ("k", int)])
+):
     """A displacement reduced by grid symmetry to i >= j >= k >= 0.
 
     Path counts are invariant under the 48 axis permutations and sign flips,
@@ -135,10 +138,6 @@ class CanonicalOffset(NamedTuple("CanonicalOffset", [("i", int), ("j", int), ("k
             raise ValueError(f"canonical offset needs i >= j >= k >= 0: {(i, j, k)}")
         return super().__new__(cls, i, j, k)
 
-    @classmethod
-    def _make(cls, iterable) -> CanonicalOffset:
-        return cls(*iterable)
-
     def as_triple(self) -> tuple[int, int, int]:
         return (self.i, self.j, self.k)
 
@@ -146,6 +145,6 @@ class CanonicalOffset(NamedTuple("CanonicalOffset", [("i", int), ("j", int), ("k
 def canonicalize(p: GridPoint, q: GridPoint) -> CanonicalOffset:
     """Reduce the displacement p - q to its canonical offset: the absolute
     components sorted in descending order."""
-    if not (isinstance(p, GridPoint) and isinstance(q, GridPoint)):
-        raise wrong_value_type(GridPoint, p=p, q=q)
+    check_type("p", p, GridPoint)
+    check_type("q", q, GridPoint)
     return CanonicalOffset(*sorted(map(abs, p.displacement_from(q)), reverse=True))

@@ -10,13 +10,7 @@ from __future__ import annotations
 from enum import Enum
 from math import comb
 
-from .core import (
-    CanonicalOffset,
-    Neighborhood,
-    non_int_argument,
-    unknown_neighborhood,
-    wrong_value_type,
-)
+from .core import CanonicalOffset, Neighborhood, check_type, unknown_neighborhood
 
 
 def count_n6(off: CanonicalOffset) -> int:
@@ -26,6 +20,7 @@ def count_n6(off: CanonicalOffset) -> int:
     some order, so the count is (i+j+k)! / (i! j! k!) = C(i+j+k, i) C(j+k, j):
     the slots of the x-steps, then of the y-steps among the rest.
     """
+    check_type("off", off, CanonicalOffset)
     i, j, k = off.as_triple()
     return comb(i + j + k, i) * comb(j + k, j)
 
@@ -44,8 +39,8 @@ def count_n8_2d(i: int, j: int) -> int:
     is the sum over b of multinomial(i; b, j+b, i-j-2b) = C(i, b) C(i-b, j+b):
     the slots of the falling diagonals, then the rising ones among the rest.
     """
-    if type(i) is not int or type(j) is not int:
-        raise non_int_argument(i=i, j=j)
+    check_type("i", i, int)
+    check_type("j", j, int)
     if not i >= j >= 0:
         raise ValueError(f"count_n8_2d needs i >= j >= 0, got ({i}, {j})")
     return _planar(i, j)
@@ -61,6 +56,7 @@ def count_n18_maxcase(off: CanonicalOffset) -> int:
     z-motion, so they form a planar chessboard path to (i-k-2a, j); summing
     over a gives the total.
     """
+    check_type("off", off, CanonicalOffset)
     i, j, k = off.as_triple()
     slack = i - j - k
     if slack < 0:
@@ -85,6 +81,7 @@ def count_n18_halfcase(off: CanonicalOffset) -> int:
     an exact division.  An axis whose (L - coordinate) factor is zero cannot
     host the single step, and contributes nothing to the weight.
     """
+    check_type("off", off, CanonicalOffset)
     i, j, k = off.as_triple()
     if i > j + k + 1:
         raise ValueError(
@@ -107,6 +104,7 @@ class N18Case(Enum):
 
 
 def classify_n18(off: CanonicalOffset) -> N18Case:
+    check_type("off", off, CanonicalOffset)
     i, j, k = off.as_triple()
     if i > j + k + 1:
         return N18Case.MAX_CASE
@@ -122,6 +120,7 @@ def count_n26(off: CanonicalOffset) -> int:
     xz-plane, and any two such projections combine, so the count is the
     product of the two planar counts.
     """
+    check_type("off", off, CanonicalOffset)
     return count_n8_2d(off.i, off.j) * count_n8_2d(off.i, off.k)
 
 
@@ -135,8 +134,7 @@ def count_paths(
     formulas run and a disagreement (impossible unless a formula is
     broken) raises.
     """
-    if not isinstance(off, CanonicalOffset):
-        raise wrong_value_type(CanonicalOffset, off=off)
+    check_type("off", off, CanonicalOffset)
     if neighborhood is Neighborhood.N6:
         return count_n6(off)
     if neighborhood is Neighborhood.N26:

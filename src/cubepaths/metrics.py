@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from typing import Callable
 
-from .core import GridPoint, Neighborhood, unknown_neighborhood, wrong_value_type
+from .core import GridPoint, Neighborhood, check_type, unknown_neighborhood
 
 
 def _l1(dx: int, dy: int, dz: int) -> int:
@@ -41,6 +41,6 @@ def displacement_metric(neighborhood: Neighborhood) -> Callable[[int, int, int],
 
 def distance(p: GridPoint, q: GridPoint, neighborhood: Neighborhood) -> int:
     """Digital distance between two points for the given connectivity."""
-    if not (isinstance(p, GridPoint) and isinstance(q, GridPoint)):
-        raise wrong_value_type(GridPoint, p=p, q=q)
+    check_type("p", p, GridPoint)
+    check_type("q", q, GridPoint)
     return displacement_metric(neighborhood)(*p.displacement_from(q))

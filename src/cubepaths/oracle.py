@@ -14,14 +14,7 @@ from collections import defaultdict
 from itertools import islice
 from typing import Callable, Iterator, NamedTuple
 
-from .core import (
-    GridPoint,
-    MoveStep,
-    Neighborhood,
-    admissible_moves,
-    non_int_argument,
-    wrong_value_type,
-)
+from .core import GridPoint, MoveStep, Neighborhood, admissible_moves, check_size, check_type
 from .metrics import displacement_metric
 
 DEFAULT_ENUMERATION_LIMIT = 10_000
@@ -50,8 +43,7 @@ def oracle_count(target: GridPoint, neighborhood: Neighborhood) -> int:
     lies on some geodesic.  Its count is the sum over its surviving
     predecessors.  The DP therefore touches O((2d+1)^3) points at worst.
     """
-    if not isinstance(target, GridPoint):
-        raise wrong_value_type(GridPoint, target=target)
+    check_type("target", target, GridPoint)
     # exact tuples unpack faster than named tuples in the DP's inner loop
     moves = sorted(m.as_tuple() for m in admissible_moves(neighborhood))
     return _layered_count(target.as_tuple(), moves, displacement_metric(neighborhood))
@@ -64,8 +56,8 @@ def oracle_count_2d(i: int, j: int) -> int:
     Every visited point stays in the z = 0 plane, where the L-infinity
     metric of full connectivity is the chessboard metric.
     """
-    if type(i) is not int or type(j) is not int:
-        raise non_int_argument(i=i, j=j)
+    check_type("i", i, int)
+    check_type("j", j, int)
     # exact tuples, as in oracle_count
     moves = sorted(
         m.as_tuple() for m in admissible_moves(Neighborhood.N26) if m.dz == 0
@@ -102,6 +94,7 @@ def iter_shortest_paths(
     of steps long); a step is taken iff it decreases the remaining distance
     to the target by one, which prunes everything off-geodesic.
     """
+    check_type("target", target, GridPoint)
     dist = displacement_metric(neighborhood)
     tx, ty, tz = target.as_tuple()
     total = dist(tx, ty, tz)
@@ -147,12 +140,9 @@ def enumerate_shortest_paths(
     the result is marked truncated.  Counts explode with distance, so an
     unbounded enumeration is deliberately not offered.
     """
-    if not isinstance(target, GridPoint):
-        raise wrong_value_type(GridPoint, target=target)
-    if type(limit) is not int:
-        raise non_int_argument(limit=limit)
-    if limit < 1:
-        raise ValueError(f"limit must be positive, got {limit}")
+    # checked here, not only in the lazy walk, so a wrong target is refused first
+    check_type("target", target, GridPoint)
+    check_size("limit", limit, 1)
     walk = iter_shortest_paths(target, neighborhood)
     # islice stops at most at sys.maxsize; no larger listing fits in memory
     paths = tuple(islice(walk, min(limit, sys.maxsize)))

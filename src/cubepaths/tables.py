@@ -10,7 +10,7 @@ from __future__ import annotations
 from itertools import permutations, product
 from typing import NamedTuple
 
-from .core import CanonicalOffset, GridPoint, Neighborhood, non_int_argument
+from .core import CanonicalOffset, GridPoint, Neighborhood, check_size
 from .counting import count_n8_2d, count_paths
 from .metrics import displacement_metric
 
@@ -46,10 +46,7 @@ def shell_table(
     which avoids reporting each value up to 48 times; ``expand_symmetry``
     restores the full shell for reproducing complete distance spheres.
     """
-    if type(length) is not int:
-        raise non_int_argument(length=length)
-    if length < 0:
-        raise ValueError(f"length must be nonnegative, got {length}")
+    check_size("length", length, 0)
     dist = displacement_metric(neighborhood)
     entries: list[TableEntry] = []
     # the dominant coordinate never exceeds the digital distance
@@ -72,10 +69,7 @@ def slice_table_2d(max_i: int) -> CountTable:
     Points are reported in the z=0 plane; each row's distance is i, the
     chessboard distance of (i, j) from the origin.
     """
-    if type(max_i) is not int:
-        raise non_int_argument(max_i=max_i)
-    if max_i < 0:
-        raise ValueError(f"max_i must be nonnegative, got {max_i}")
+    check_size("max_i", max_i, 0)
     entries = [
         TableEntry(GridPoint(i, j, 0), i, count_n8_2d(i, j))
         for i in range(max_i + 1)

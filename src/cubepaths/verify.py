@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .core import CanonicalOffset, GridPoint, Neighborhood, non_int_argument
+from .core import CanonicalOffset, GridPoint, Neighborhood, check_size
 from .counting import (
     N18Case,
     classify_n18,
@@ -38,10 +38,7 @@ def verify_region(extent: int, neighborhood: Neighborhood) -> VerifyReport:
     formulas, which also establishes that the two formulas agree with each
     other wherever both apply.
     """
-    if type(extent) is not int:
-        raise non_int_argument(extent=extent)
-    if extent < 0:
-        raise ValueError(f"extent must be nonnegative, got {extent}")
+    check_size("extent", extent, 0)
     checked = 0
     mismatches: list[tuple[GridPoint, int, int]] = []
     for i in range(extent + 1):

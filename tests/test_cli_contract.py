@@ -138,6 +138,13 @@ def test_the_generator_lists_the_golden_file_invocations_in_order():
 if __name__ == "__main__":
     os.environ["COLUMNS"] = "80"
     corpus = [invoke(args) for args in invocations()]
+    if sys.version_info >= (3, 13):
+        # write the pre-3.13 help wording that every Python replays: the
+        # inverse of the rewrite in test_cli_output_matches_the_golden_file
+        for entry in corpus:
+            entry["stdout"] = re.sub(
+                r"-n, --neighborhood (\{[^}]*\})", r"-n \1, --neighborhood \1", entry["stdout"]
+            )
     GOLDEN.parent.mkdir(exist_ok=True)
     lines = ",\n".join(json.dumps(entry) for entry in corpus)
     GOLDEN.write_text(f"[\n{lines}\n]\n", encoding="utf-8")

@@ -5,9 +5,12 @@ the docstrings; agreement with the independent graph-search oracle is tested
 separately (test_oracle.py and the acceptance suite).
 """
 
+import functools
 import importlib
 import importlib.util
+import io
 import math
+from contextlib import redirect_stdout
 from math import factorial
 from pathlib import Path
 
@@ -15,6 +18,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import cubepaths.counting as counting
+from cubepaths import cli
 from cubepaths.core import (
     ORIGIN,
     CanonicalOffset,
@@ -505,17 +510,27 @@ def test_every_entry_refuses_what_is_not_a_neighborhood(entry, neighborhood):
     assert str(refused.value) == f"unknown neighborhood: {neighborhood!r}"
 
 
-# every value-type parameter of a top-level entry: its type and a call with a valid rest
+# every value-type parameter of a public entry or kernel: its type, a call with a valid rest
 _VALUE_PARAMETERS = {
     "distance(p)": (GridPoint, lambda v: distance(v, ORIGIN, Neighborhood.N6)),
     "distance(q)": (GridPoint, lambda v: distance(ORIGIN, v, Neighborhood.N6)),
     "canonicalize(p)": (GridPoint, lambda v: canonicalize(v, ORIGIN)),
     "canonicalize(q)": (GridPoint, lambda v: canonicalize(ORIGIN, v)),
     "count_paths(off)": (CanonicalOffset, lambda v: count_paths(v, Neighborhood.N6)),
+    "count_n6(off)": (CanonicalOffset, count_n6),
+    "count_n18_maxcase(off)": (CanonicalOffset, count_n18_maxcase),
+    "count_n18_halfcase(off)": (CanonicalOffset, count_n18_halfcase),
+    "count_n26(off)": (CanonicalOffset, count_n26),
+    "classify_n18(off)": (CanonicalOffset, classify_n18),
     "oracle_count(target)": (GridPoint, lambda v: oracle_count(v, Neighborhood.N6)),
+    "iter_shortest_paths(target)": (
+        GridPoint,
+        lambda v: next(iter_shortest_paths(v, Neighborhood.N6)),
+    ),
+    # with a limit of 0 too: the target is refused before the limit is checked
     "enumerate_shortest_paths(target)": (
         GridPoint,
-        lambda v: enumerate_shortest_paths(v, Neighborhood.N6),
+        lambda v: enumerate_shortest_paths(v, Neighborhood.N6, 0),
     ),
 }
 _VALUES = [(1, 1, 0), GridPoint(1, 1, 0), CanonicalOffset(1, 1, 0), MoveStep(1, 1, 0), None]
@@ -609,3 +624,169 @@ def test_count_is_the_sum_over_geodesic_predecessors(triple, neighborhood):
         if distance(u, ORIGIN, neighborhood) == steps - 1:
             total += count_paths(canonicalize(u, ORIGIN), neighborhood)
     assert count_paths(canonicalize(v, ORIGIN), neighborhood) == total
+
+
+# ------------------------------------------------- far-field value pins
+#
+# Exact values where the oracle cannot reach, against the benchmark's modular
+# direct sums.  The recurrence above passes a formula scaled by a constant on
+# a whole region; these pins do not, as the mutant table below proves.
+
+_FAR_FIELD = [
+    (100, 0, 0),  # axes
+    (333, 0, 0),
+    (520, 0, 0),
+    (401, 401, 0),  # planar and spatial diagonals
+    (260, 260, 260),
+    (400, 100, 50),  # N18 max case, even and odd coordinate sum
+    (401, 100, 50),
+    (300, 250, 200),  # N18 half case, even and odd coordinate sum
+    (301, 250, 200),
+    (302, 200, 100),  # across the N18 overlap: i - (j + k) = 2, 1, 0, -1
+    (301, 200, 100),
+    (300, 200, 100),
+    (299, 200, 100),
+    (250, 150, 100),  # coordinate sum 500
+    (520, 260, 130),  # the heaviest benchmark shapes
+    (520, 173, 173),
+]
+
+
+@functools.cache
+def _modular_counts():
+    return _perfbench_reference().ModularCounts()
+
+
+def _library_misses() -> list:
+    # looks count_paths up in counting at call time, so a wrapper set there counts
+    reference = _modular_counts()
+    return [
+        (triple, n.value)
+        for triple in _FAR_FIELD
+        for n in Neighborhood
+        if not reference.matches(
+            n.value, triple, counting.count_paths(CanonicalOffset(*triple), n)
+        )
+    ]
+
+
+def _cli_misses() -> list:
+    # each pin through `cubepaths count -n all`, displaced from a signed origin
+    # and permuted, so that the CLI's canonicalization is on the path too
+    reference = _modular_counts()
+    misses = []
+    for i, j, k in _FAR_FIELD:
+        argv = ["count", "--from", "1,-2,3", "--to", f"{1 + k},{-2 - i},{3 + j}", "-n", "all"]
+        out = io.StringIO()
+        with redirect_stdout(out):
+            assert cli.run(argv) == 0
+        for line in out.getvalue().splitlines():
+            n, value = line.split("\t")
+            if not reference.matches(int(n), (i, j, k), int(value)):
+                misses.append(((i, j, k), int(n)))
+    return misses
+
+
+def test_count_paths_equals_the_modular_reference_in_the_far_field():
+    assert _library_misses() == []
+
+
+def test_cli_count_equals_the_modular_reference_in_the_far_field():
+    assert _cli_misses() == []
+
+
+_exact_count = functools.cache(count_paths)
+
+
+def _plus_one(off, n):
+    return _exact_count(off, n) + 1
+
+
+def _doubled(off, n):
+    return 2 * _exact_count(off, n)
+
+
+def _next_offset(off, n):
+    # the value of the neighbouring offset (i + 1, j, k): the right formula
+    # read at the wrong point
+    return _exact_count(CanonicalOffset(off.i + 1, off.j, off.k), n)
+
+
+def _n18_case(off, n, case):
+    return n is Neighborhood.N18 and classify_n18(off) is case
+
+
+# value faults past the oracle's reach (i >= 100): where its predicate holds,
+# count_paths answers with the perturbed value.  Nine of them (the first seven,
+# and those at i == j + k + 2 and i == j + k - 1) pass every other test of the
+# suite; only the recurrence's few points catch the rest.  Swapping j and k is
+# no fault, since every count is symmetric in the three coordinates.
+_VALUE_MUTANTS = {
+    "N18 x2 for i >= 100": (lambda off, n: n is Neighborhood.N18 and off.i >= 100, _doubled),
+    "N26 x2 for i >= 250": (lambda off, n: n is Neighborhood.N26 and off.i >= 250, _doubled),
+    "N6 +1 at coordinate sum 500": (
+        lambda off, n: n is Neighborhood.N6 and sum(off) == 500,
+        _plus_one,
+    ),
+    "N6 +1 on the axis": (lambda off, n: n is Neighborhood.N6 and off.j == 0, _plus_one),
+    "N26 +1 on the axis": (lambda off, n: n is Neighborhood.N26 and off.j == 0, _plus_one),
+    "N18 x2 on the spatial diagonal": (
+        lambda off, n: n is Neighborhood.N18 and off.i == off.k,
+        _doubled,
+    ),
+    "N6 +1 on the planar diagonal": (
+        lambda off, n: n is Neighborhood.N6 and off.i == off.j and off.k == 0,
+        _plus_one,
+    ),
+    "N18 max case +1 at odd coordinate sum": (
+        lambda off, n: _n18_case(off, n, N18Case.MAX_CASE) and sum(off) % 2 == 1,
+        _plus_one,
+    ),
+    "N18 max case x2 at even coordinate sum": (
+        lambda off, n: _n18_case(off, n, N18Case.MAX_CASE) and sum(off) % 2 == 0,
+        _doubled,
+    ),
+    "N18 half case +1 at even coordinate sum": (
+        lambda off, n: _n18_case(off, n, N18Case.HALF_CASE) and sum(off) % 2 == 0,
+        _plus_one,
+    ),
+    "N18 half case x2 at odd coordinate sum": (
+        lambda off, n: _n18_case(off, n, N18Case.HALF_CASE) and sum(off) % 2 == 1,
+        _doubled,
+    ),
+    "N18 +1 at i == j + k + 2": (
+        lambda off, n: n is Neighborhood.N18 and off.i == off.j + off.k + 2,
+        _plus_one,
+    ),
+    "N18 +1 at i == j + k + 1": (
+        lambda off, n: n is Neighborhood.N18 and off.i == off.j + off.k + 1,
+        _plus_one,
+    ),
+    "N18 x2 at i == j + k": (
+        lambda off, n: n is Neighborhood.N18 and off.i == off.j + off.k,
+        _doubled,
+    ),
+    "N18 +1 at i == j + k - 1": (
+        lambda off, n: n is Neighborhood.N18 and off.i == off.j + off.k - 1,
+        _plus_one,
+    ),
+    "N26 neighbouring offset at j == k": (
+        lambda off, n: n is Neighborhood.N26 and off.j == off.k,
+        _next_offset,
+    ),
+}
+
+
+@pytest.mark.parametrize("mutant", list(_VALUE_MUTANTS))
+def test_the_far_field_pins_catch_every_value_mutant(mutant, monkeypatch):
+    applies, perturbed = _VALUE_MUTANTS[mutant]
+
+    def mutated(off, neighborhood):
+        if off.i >= 100 and applies(off, neighborhood):
+            return perturbed(off, neighborhood)
+        return _exact_count(off, neighborhood)
+
+    monkeypatch.setattr(counting, "count_paths", mutated)
+    monkeypatch.setattr(cli, "count_paths", mutated)
+    assert _library_misses()
+    assert _cli_misses()
