@@ -2,7 +2,7 @@
 
 Subcommands: distance, count, oracle, paths, verify, table.
 Results go to stdout, diagnostics to stderr.  Exit codes: 0 success,
-1 usage/parse error, 2 verification mismatch.
+1 usage/parse error or unwritable output, 2 verification mismatch.
 """
 
 from __future__ import annotations
@@ -312,10 +312,16 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
 
 def main() -> None:
     try:
+        if sys.stdout is None:  # fd 1 was closed before the CLI started
+            raise OSError("stdout is closed")
         code = run(sys.argv[1:])
         sys.stdout.flush()
-    except BrokenPipeError:
-        # the reader is gone: stdout to devnull, or shutdown reports "Exception ignored"
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        code = EXIT_OK
+    except OSError as exc:
+        # fd 1 to devnull, or shutdown's flush reports "Exception ignored"
+        os.dup2(os.open(os.devnull, os.O_WRONLY), 1)
+        if isinstance(exc, BrokenPipeError):  # the reader is gone
+            code = EXIT_OK
+        else:
+            print(f"cubepaths: error: cannot write output: {exc}", file=sys.stderr)
+            code = EXIT_USAGE
     sys.exit(code)

@@ -1,8 +1,8 @@
 """Closed-form shortest-path counts, exact in arbitrary precision.
 
-Counts grow super-exponentially (64-bit integers overflow near coordinate
-sums of ~20), so everything here stays in Python's native big integers and
-every division is an exact floor division of a known-integral quotient.
+Counts grow exponentially in the coordinate sum (64-bit integers overflow
+near sums of ~20), so everything here stays in Python's native big integers
+and every division is an exact floor division of a known-integral quotient.
 """
 
 from __future__ import annotations
@@ -129,10 +129,10 @@ def count_paths(
 ) -> int:
     """Closed-form shortest-path count for a canonical offset.
 
-    Under N18, overlap offsets default to the dominant-coordinate sum,
-    which has at most two terms there; with check_overlap=True both
-    formulas run and a disagreement (impossible unless a formula is
-    broken) raises.
+    Under N18, overlap offsets default to the dominant-coordinate sum: its
+    slack i - j - k is at most 1 there, so it is the one summand a = 0,
+    whose planar sum has one term.  With check_overlap=True both formulas
+    run and a disagreement (impossible unless a formula is broken) raises.
     """
     check_type("off", off, CanonicalOffset)
     if neighborhood is Neighborhood.N6:

@@ -13,7 +13,7 @@ import cubepaths
 
 from cubepaths import counting, verify
 from cubepaths.cli import EXIT_MISMATCH, EXIT_OK, EXIT_USAGE, run
-from cubepaths.core import GridPoint, Neighborhood
+from cubepaths.core import CanonicalOffset, GridPoint, Neighborhood
 from cubepaths.oracle import oracle_count
 from cubepaths.tables import decimal_string
 from cubepaths.verify import VerifyReport
@@ -254,6 +254,94 @@ def test_the_real_sweep_finds_a_faulty_half_sum_kernel(capsys, monkeypatch):
     assert out.splitlines()[0] == "N18: checked 20 canonical points (extent 3), mismatches 17"
 
 
+def _canonical_points(extent):
+    return [
+        GridPoint(i, j, k)
+        for i in range(extent + 1)
+        for j in range(i + 1)
+        for k in range(j + 1)
+    ]
+
+
+def _off_by_one_report(points):
+    # the mismatches of a formula that is one above the oracle at each point
+    return tuple(
+        (point, oracle_count(point, Neighborhood.N18) + 1, oracle_count(point, Neighborhood.N18))
+        for point in points
+    )
+
+
+def test_the_real_sweep_checks_the_dispatcher_on_the_overlap(monkeypatch):
+    # a count_paths that is wrong only where both N18 formulas apply
+    true_count_paths = verify.count_paths
+
+    def faulty(off, neighborhood):
+        value = true_count_paths(off, neighborhood)
+        overlap = (
+            neighborhood is Neighborhood.N18
+            and counting.classify_n18(off) is counting.N18Case.OVERLAP
+        )
+        return value + 1 if overlap else value
+
+    monkeypatch.setattr(verify, "count_paths", faulty)
+    report = verify.verify_region(5, Neighborhood.N18)
+    overlap_points = [p for p in _canonical_points(5) if p.y + p.z <= p.x <= p.y + p.z + 1]
+    assert len(overlap_points) == 21
+    assert report.checked == 56
+    assert report.mismatches == _off_by_one_report(overlap_points)
+
+
+def test_the_real_sweep_finds_a_faulty_dominant_coordinate_kernel(capsys, monkeypatch):
+    # only counting's binding: the sweep reaches the kernel through count_paths
+    true_maxcase = counting.count_n18_maxcase
+    monkeypatch.setattr(counting, "count_n18_maxcase", lambda off: true_maxcase(off) + 1)
+    report = verify.verify_region(3, Neighborhood.N18)
+    # every point where the dominant-coordinate sum applies, each listed once:
+    # 3 max-case and 10 overlap points
+    maxsum_points = [p for p in _canonical_points(3) if p.x >= p.y + p.z]
+    assert len(maxsum_points) == 13
+    assert report.checked == 20
+    assert report.mismatches == _off_by_one_report(maxsum_points)
+    code, out, _ = invoke(capsys, "verify", "--extent", "3", "-n", "18")
+    assert code == EXIT_MISMATCH
+    assert out.splitlines()[0] == "N18: checked 20 canonical points (extent 3), mismatches 13"
+
+
+@pytest.mark.parametrize("neighborhood", list(Neighborhood))
+def test_the_sweep_calls_count_paths_at_every_point(monkeypatch, neighborhood):
+    offsets, halfsum_offsets = [], []
+
+    def counted(off, n):
+        offsets.append(off)
+        return counting.count_paths(off, n)
+
+    def counted_halfcase(off):
+        halfsum_offsets.append(off)
+        return counting.count_n18_halfcase(off)
+
+    monkeypatch.setattr(verify, "count_paths", counted)
+    monkeypatch.setattr(verify, "count_n18_halfcase", counted_halfcase)
+    report = verify.verify_region(4, neighborhood)
+    assert report.ok and report.checked == 35
+    assert offsets == _canonical_points(4)
+    if neighborhood is Neighborhood.N18:
+        assert halfsum_offsets == [
+            off for off in offsets if counting.classify_n18(off) is counting.N18Case.OVERLAP
+        ]
+    else:
+        assert halfsum_offsets == []
+
+
+def test_count_paths_takes_the_dominant_coordinate_sum_on_the_overlap(monkeypatch):
+    # the sweep checks the half sum on the overlap by itself because of this
+    monkeypatch.setattr(counting, "count_n18_maxcase", lambda off: "max")
+    monkeypatch.setattr(counting, "count_n18_halfcase", lambda off: "half")
+    for triple in ((3, 2, 1), (4, 2, 1), (5, 3, 2), (2, 1, 0)):
+        off = CanonicalOffset(*triple)
+        assert counting.classify_n18(off) is counting.N18Case.OVERLAP
+        assert counting.count_paths(off, Neighborhood.N18) == "max"
+
+
 def test_verify_rejects_negative_extent(capsys):
     code, _, err = invoke(capsys, "verify", "--extent", "-1")
     assert code == EXIT_USAGE
@@ -456,6 +544,54 @@ def test_a_reader_that_closes_the_pipe_early_ends_the_cli_quietly():
     assert "Traceback" not in err and "Exception ignored" not in err, err
     # one way out on every platform: a quiet success, not death by SIGPIPE
     assert proc.returncode == EXIT_OK
+
+
+def _unwritable_stdout_child(sink, buffering, argv):
+    command = [sys.executable, "-X", "dev", "-W", "error", "-m", "cubepaths", *argv]
+    env = {**os.environ, "PYTHONPATH": SOURCE_ROOT}
+    env.pop("PYTHONUNBUFFERED", None)
+    if buffering == "unbuffered":
+        env["PYTHONUNBUFFERED"] = "1"
+    if sink == "closed":
+        return subprocess.run(
+            ["sh", "-c", 'exec "$0" "$@" >&-', *command],
+            stderr=subprocess.PIPE, text=True, timeout=60, env=env,
+        )
+    with open("/dev/full", "w") as full:
+        return subprocess.run(
+            command, stdout=full, stderr=subprocess.PIPE, text=True, timeout=60, env=env
+        )
+
+
+@pytest.mark.skipif(os.name != "posix", reason="needs a POSIX shell")
+@pytest.mark.parametrize("buffering", ["buffered", "unbuffered"])
+@pytest.mark.parametrize(
+    "sink",
+    [
+        pytest.param(
+            "full",
+            marks=pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full"),
+        ),
+        "closed",
+    ],
+)
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["count", "--to", "1,1,1", "-n", "6"],
+        ["table", "-n", "6", "--length", "2", "--format", "json"],
+        ["paths", "--to", "1,1,1", "-n", "18"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_output_that_cannot_be_written_is_an_error(sink, buffering, argv):
+    # stdout on a full device, or fd 1 closed: one error line and exit 1,
+    # never a traceback or a complaint from shutdown's flush
+    proc = _unwritable_stdout_child(sink, buffering, argv)
+    assert proc.returncode == EXIT_USAGE, proc.stderr
+    (line,) = proc.stderr.splitlines()
+    assert line.startswith("cubepaths: error: cannot write output: ")
+    assert "Traceback" not in proc.stderr and "Exception ignored" not in proc.stderr
 
 
 def test_cli_import_loads_no_module_a_count_request_does_not_need():
