@@ -19,6 +19,7 @@ from .metrics import distance
 from .oracle import DEFAULT_ENUMERATION_LIMIT, enumerate_shortest_paths, oracle_count
 from .tables import (
     decimal_string,
+    json_line,
     shell_table,
     slice_table_2d,
     to_csv,
@@ -103,9 +104,11 @@ def _displacement(ns: argparse.Namespace) -> GridPoint:
 
 
 # ---------------------------------------------------------------- commands
+# each command maps the parsed arguments to (exit code, stdout text, stderr
+# text), whole lines that run() writes
 
 
-def _cmd_values(ns: argparse.Namespace) -> int:
+def _cmd_values(ns: argparse.Namespace) -> tuple[int, str, str]:
     # each value command sets ns.value(ns, n); it looks distance, count_paths,
     # canonicalize and oracle_count up as module globals at call time, so a
     # rebinding of those names here (a tracer, a test) takes effect
@@ -114,21 +117,16 @@ def _cmd_values(ns: argparse.Namespace) -> int:
     # single neighborhood: exactly one decimal integer, scriptable;
     # "all": one labeled line per neighborhood
     if len(values) == 1:
-        print(values[0])
-    else:
-        for neighborhood, value in zip(neighborhoods, values):
-            print(f"{neighborhood.value}\t{value}")
-    return EXIT_OK
+        return EXIT_OK, values[0] + "\n", ""
+    return EXIT_OK, "".join(f"{n.value}\t{v}\n" for n, v in zip(neighborhoods, values)), ""
 
 
-def _cmd_paths(ns: argparse.Namespace) -> int:
+def _cmd_paths(ns: argparse.Namespace) -> tuple[int, str, str]:
     _check_option("--limit", ns.limit, 1)
     (neighborhood,) = _neighborhoods(ns.neighborhood)
     target = _displacement(ns)
     listing = enumerate_shortest_paths(target, neighborhood, limit=ns.limit)
     if ns.format == "json":
-        import json  # only the JSON formats need it; see tables.to_json
-
         payload = {
             "target": target,
             "neighborhood": neighborhood.value,
@@ -136,25 +134,20 @@ def _cmd_paths(ns: argparse.Namespace) -> int:
             "truncated": listing.truncated,
             "paths": listing.paths,
         }
-        print(json.dumps(payload))
-    else:
-        for path in listing.paths:
-            print(" ".join(f"{s.dx},{s.dy},{s.dz}" for s in path))
-        if listing.truncated:
-            print(
-                f"note: output truncated at {ns.limit} paths; more exist",
-                file=sys.stderr,
-            )
-    return EXIT_OK
+        return EXIT_OK, json_line(payload), ""
+    out = "".join(
+        " ".join(f"{s.dx},{s.dy},{s.dz}" for s in path) + "\n" for path in listing.paths
+    )
+    note = f"note: output truncated at {ns.limit} paths; more exist\n"
+    return EXIT_OK, out, note if listing.truncated else ""
 
 
-def _cmd_verify(ns: argparse.Namespace) -> int:
+def _cmd_verify(ns: argparse.Namespace) -> tuple[int, str, str]:
     _check_option("--extent", ns.extent, 0)
     neighborhoods = _neighborhoods(ns.neighborhood)
     reports = [verify_region(ns.extent, n) for n in neighborhoods]
+    code = EXIT_OK if all(r.ok for r in reports) else EXIT_MISMATCH
     if ns.format == "json":
-        import json
-
         payload = [
             {
                 "neighborhood": neighborhood.value,
@@ -171,22 +164,22 @@ def _cmd_verify(ns: argparse.Namespace) -> int:
             }
             for neighborhood, r in zip(neighborhoods, reports)
         ]
-        print(json.dumps(payload))
-    else:
-        for neighborhood, r in zip(neighborhoods, reports):
-            print(
-                f"{neighborhood.name}: checked {r.checked} canonical points "
-                f"(extent {ns.extent}), mismatches {len(r.mismatches)}"
-            )
-            for point, formula, oracle in r.mismatches:
-                print(
-                    f"  MISMATCH at {point.x},{point.y},{point.z}: "
-                    f"formula={decimal_string(formula)} oracle={decimal_string(oracle)}"
-                )
-    return EXIT_OK if all(r.ok for r in reports) else EXIT_MISMATCH
+        return code, json_line(payload), ""
+    lines = []
+    for neighborhood, r in zip(neighborhoods, reports):
+        lines.append(
+            f"{neighborhood.name}: checked {r.checked} canonical points "
+            f"(extent {ns.extent}), mismatches {len(r.mismatches)}\n"
+        )
+        lines.extend(
+            f"  MISMATCH at {point.x},{point.y},{point.z}: "
+            f"formula={decimal_string(formula)} oracle={decimal_string(oracle)}\n"
+            for point, formula, oracle in r.mismatches
+        )
+    return code, "".join(lines), ""
 
 
-def _cmd_table(ns: argparse.Namespace) -> int:
+def _cmd_table(ns: argparse.Namespace) -> tuple[int, str, str]:
     if ns.slice_2d is not None:
         if ns.neighborhood is not None or ns.length is not None or ns.expand_symmetry:
             raise _UsageError("--slice-2d cannot be combined with -n/--length/--expand-symmetry")
@@ -199,8 +192,7 @@ def _cmd_table(ns: argparse.Namespace) -> int:
         (neighborhood,) = _neighborhoods(ns.neighborhood)
         table = shell_table(neighborhood, ns.length, expand_symmetry=ns.expand_symmetry)
     renderer = {"text": to_text, "csv": to_csv, "tsv": to_tsv, "json": to_json}[ns.format]
-    sys.stdout.write(renderer(table))
-    return EXIT_OK
+    return EXIT_OK, renderer(table), ""
 
 
 # ------------------------------------------------------------------ parser
@@ -302,12 +294,18 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     try:
         ns = parser.parse_args(argv)
-        return ns.handler(ns)
+        code, out, err = ns.handler(ns)
     except _UsageError as exc:
-        print(f"cubepaths: error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        code, out, err = EXIT_USAGE, "", f"cubepaths: error: {exc}\n"
     except SystemExit as exc:  # --help
         return EXIT_OK if exc.code in (0, None) else EXIT_USAGE
+    # one write per stream; stdout is flushed first, so that on a shared file
+    # or pipe a note on stderr follows the output it is about
+    sys.stdout.write(out)
+    if err:
+        sys.stdout.flush()
+        sys.stderr.write(err)
+    return code
 
 
 def main() -> None:

@@ -85,18 +85,51 @@ def decimal_string(value: int) -> str:
     """The exact decimal text of an int of any size.
 
     This is plain ``str`` unless the value exceeds CPython's int-to-str
-    digit cap (CVE-2020-10735); then it is split by a power of ten into
-    halves that are converted recursively.  The cap itself stays in force,
-    so parsing untrusted input with ``int()`` remains guarded.
+    digit cap (CVE-2020-10735).  Then the value is built as a ``Decimal``
+    from halves of its bits, as CPython 3.12's ``_pylong`` does, and its
+    ``str`` is taken: near-linear, where splitting by powers of ten is
+    quadratic before 3.12.  The cap itself stays in force, so parsing
+    untrusted input with ``int()`` remains guarded.
     """
     try:
         return str(value)
     except ValueError:
         pass
-    width = value.bit_length() * 3 // 20  # about half the decimal digits
-    high, low = divmod(abs(value), 10**width)
-    sign = "-" if value < 0 else ""
-    return sign + decimal_string(high) + decimal_string(low).zfill(width)
+    import decimal  # only past the cap; a count request below it skips the import
+
+    powers: dict[int, decimal.Decimal] = {}
+
+    def power(width: int) -> decimal.Decimal:  # 2**width, once per width
+        if width not in powers:
+            half = width >> 1
+            powers[width] = (
+                decimal.Decimal(2) ** width if width <= 4096
+                else power(half) * power(width - half)
+            )
+        return powers[width]
+
+    def convert(n: int, width: int) -> decimal.Decimal:  # 0 <= n < 2**width
+        if width <= 4096:  # about 1233 digits, well under the cap
+            return decimal.Decimal(n)
+        half = width >> 1
+        high = n >> half
+        return convert(high, width - half) * power(half) + convert(n - (high << half), half)
+
+    with decimal.localcontext() as context:
+        # exact integer arithmetic: no rounding, no exponent limit
+        context.prec = decimal.MAX_PREC
+        context.Emax = decimal.MAX_EMAX
+        context.traps[decimal.Inexact] = True
+        digits = str(convert(abs(value), value.bit_length()))
+    return "-" + digits if value < 0 else digits
+
+
+def json_line(value) -> str:
+    """``value`` as JSON on one line ending with a newline, like every
+    renderer's output; the package's one JSON writer."""
+    import json  # only JSON output needs it; a bare count request skips the import
+
+    return json.dumps(value) + "\n"
 
 
 def _cells(table: CountTable) -> list[tuple[str, ...]]:
@@ -123,10 +156,8 @@ def to_tsv(table: CountTable) -> str:
 
 
 def to_json(table: CountTable) -> str:
-    """Serialize as a JSON array of {point, distance, count} objects, on one
-    line that ends with a newline like every other renderer's output."""
-    import json  # only JSON output needs it; a bare count request skips the import
-
+    """Serialize as a JSON array of {point, distance, count} objects on one
+    line (see :func:`json_line`)."""
     rows = [
         {
             "point": point,
@@ -135,7 +166,7 @@ def to_json(table: CountTable) -> str:
         }
         for point, dist, count in table.entries
     ]
-    return json.dumps(rows) + "\n"
+    return json_line(rows)
 
 
 def to_text(table: CountTable) -> str:

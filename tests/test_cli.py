@@ -1,5 +1,6 @@
 """End-to-end tests for the command-line interface, via run()."""
 
+import io
 import json
 import os
 import subprocess
@@ -502,6 +503,44 @@ def test_internal_value_error_is_not_a_usage_error(monkeypatch):
         run(["count", "--to", "1,2,3", "-n", "6"])
 
 
+# ------------------------------------------------------------- one way out
+
+
+class _CountingStream(io.StringIO):
+    def __init__(self):
+        super().__init__()
+        self.writes = 0
+
+    def write(self, text):
+        self.writes += 1
+        return super().write(text)
+
+
+TRUNCATED_PATHS = ["paths", "--to", "0,3,0", "-n", "18", "--limit", "5"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["count", "--to", "1,-3,2", "-n", "all"],
+        TRUNCATED_PATHS,
+        ["paths", "--to", "1,1,1", "-n", "18", "--format", "json"],
+        ["verify", "--extent", "2"],
+        ["verify", "--extent", "2", "--format", "json"],
+        ["table", "-n", "18", "--length", "3"],
+        ["count", "--to", "badpoint", "-n", "6"],
+    ],
+    ids=" ".join,
+)
+def test_run_writes_each_stream_at_most_once(monkeypatch, argv):
+    out, err = _CountingStream(), _CountingStream()
+    monkeypatch.setattr(sys, "stdout", out)
+    monkeypatch.setattr(sys, "stderr", err)
+    run(argv)
+    assert out.getvalue() or err.getvalue()
+    assert out.writes <= 1 and err.writes <= 1, (out.writes, err.writes)
+
+
 # -------------------------------------------------------------- module run
 
 
@@ -544,6 +583,23 @@ def test_a_reader_that_closes_the_pipe_early_ends_the_cli_quietly():
     assert "Traceback" not in err and "Exception ignored" not in err, err
     # one way out on every platform: a quiet success, not death by SIGPIPE
     assert proc.returncode == EXIT_OK
+
+
+@pytest.mark.parametrize("buffering", ["buffered", "unbuffered"])
+def test_the_truncation_note_follows_the_listing_on_a_shared_pipe(buffering):
+    # stdout is block-buffered on a pipe unless PYTHONUNBUFFERED is set;
+    # either way the note must not overtake the listing it is about
+    env = {**os.environ, "PYTHONPATH": SOURCE_ROOT}
+    env.pop("PYTHONUNBUFFERED", None)
+    if buffering == "unbuffered":
+        env["PYTHONUNBUFFERED"] = "1"
+    proc = subprocess.run(
+        [sys.executable, "-m", "cubepaths", *TRUNCATED_PATHS],
+        stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True, timeout=60, env=env,
+    )
+    lines = proc.stdout.splitlines()
+    assert (proc.returncode, len(lines)) == (EXIT_OK, 6), proc.stdout
+    assert lines[-1] == "note: output truncated at 5 paths; more exist"
 
 
 def _unwritable_stdout_child(sink, buffering, argv):
@@ -595,11 +651,13 @@ def test_output_that_cannot_be_written_is_an_error(sink, buffering, argv):
 
 
 def test_cli_import_loads_no_module_a_count_request_does_not_need():
-    # a fresh interpreter's modules, minus what a bare one (site) already has
+    # a fresh interpreter's modules, minus what a bare one (site) already has;
+    # the CLI child imports the CLI and runs a count below the digit cap
     listing = "import sys; print('\\n'.join(sorted(sys.modules)))"
+    count = "run(['count', '--to', '7,4,2', '-n', 'all'])"
     bare = _child("-c", listing)
-    cli = _child("-c", "import cubepaths.cli; " + listing)
+    cli = _child("-c", f"from cubepaths.cli import run; {count}; " + listing)
     assert bare.returncode == cli.returncode == 0, bare.stderr + cli.stderr
     added = set(cli.stdout.split()) - set(bare.stdout.split())
     assert "cubepaths.cli" in added
-    assert not added & {"dataclasses", "inspect", "csv", "json"}
+    assert not added & {"dataclasses", "inspect", "csv", "json", "decimal"}

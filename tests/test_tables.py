@@ -1,9 +1,11 @@
 """Tests for shell/slice table building and its serializers."""
 
 import csv
+import decimal
 import io
 import json
 import random
+import sys
 
 import pytest
 
@@ -203,8 +205,8 @@ def test_serializers_on_empty_table():
 
 # ------------------------------------------- beyond the int-to-str cap
 
-# 5201 digits, above CPython's 4300-digit cap; the zero run straddles the
-# point where decimal_string splits the value
+# 5201 digits, above CPython's 4300-digit cap, with a long zero run in the
+# middle
 HUGE_DIGITS = "9" + "0" * 2600 + "".join(
     random.Random(4300).choices("0123456789", k=2600)
 )
@@ -234,9 +236,32 @@ def test_decimal_string_is_str_below_the_cap():
 
 
 def test_decimal_string_keeps_the_cap_on_parsing():
+    context = repr(decimal.getcontext())
     decimal_string(HUGE)
     with pytest.raises(ValueError):
         int(HUGE_DIGITS)
+    assert repr(decimal.getcontext()) == context  # its exact context was local
+
+
+def _around_the_cap():
+    rng = random.Random(90716)
+    values = [rng.randrange(10 ** (d - 1), 10**d) for d in (4301, 4302, 5000, 12345, 20000)]
+    values += [10**k + delta for k in (4299, 4300, 4301, 8600) for delta in (-1, 0)]
+    values += [2**14285, 2**14285 - 1, 2**20000 + 1]  # about the cap in bits
+    return values + [-value for value in values]
+
+
+@pytest.mark.parametrize(
+    "value", _around_the_cap(), ids=lambda v: f"{'-' if v < 0 else ''}{v.bit_length()}bits"
+)
+def test_decimal_string_equals_uncapped_str(value):
+    cap = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)  # lifted for the expected text only
+    try:
+        expected = str(value)
+    finally:
+        sys.set_int_max_str_digits(cap)
+    assert decimal_string(value) == expected
 
 
 def _huge_table():
