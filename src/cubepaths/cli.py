@@ -297,14 +297,14 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
         code, out, err = ns.handler(ns)
     except _UsageError as exc:
         code, out, err = EXIT_USAGE, "", f"cubepaths: error: {exc}\n"
-    except SystemExit as exc:  # --help
-        return EXIT_OK if exc.code in (0, None) else EXIT_USAGE
+    except SystemExit as exc:  # --help, already written by argparse
+        code, out, err = (EXIT_OK if exc.code in (0, None) else EXIT_USAGE), "", ""
     # one write per stream; stdout is flushed first, so that on a shared file
-    # or pipe a note on stderr follows the output it is about
+    # or pipe a note on stderr follows the output it is about, and a failed
+    # write (argparse's --help text too) reaches main's handler
     sys.stdout.write(out)
-    if err:
-        sys.stdout.flush()
-        sys.stderr.write(err)
+    sys.stdout.flush()
+    sys.stderr.write(err)
     return code
 
 
@@ -313,7 +313,6 @@ def main() -> None:
         if sys.stdout is None:  # fd 1 was closed before the CLI started
             raise OSError("stdout is closed")
         code = run(sys.argv[1:])
-        sys.stdout.flush()
     except OSError as exc:
         # fd 1 to devnull, or shutdown's flush reports "Exception ignored"
         os.dup2(os.open(os.devnull, os.O_WRONLY), 1)

@@ -85,43 +85,18 @@ def decimal_string(value: int) -> str:
     """The exact decimal text of an int of any size.
 
     This is plain ``str`` unless the value exceeds CPython's int-to-str
-    digit cap (CVE-2020-10735).  Then the value is built as a ``Decimal``
-    from halves of its bits, as CPython 3.12's ``_pylong`` does, and its
-    ``str`` is taken: near-linear, where splitting by powers of ten is
-    quadratic before 3.12.  The cap itself stays in force, so parsing
-    untrusted input with ``int()`` remains guarded.
+    digit cap (CVE-2020-10735); then it is split by a power of ten into
+    halves that are converted recursively.  The cap itself stays in force,
+    so parsing untrusted input with ``int()`` remains guarded.
     """
     try:
         return str(value)
     except ValueError:
         pass
-    import decimal  # only past the cap; a count request below it skips the import
-
-    powers: dict[int, decimal.Decimal] = {}
-
-    def power(width: int) -> decimal.Decimal:  # 2**width, once per width
-        if width not in powers:
-            half = width >> 1
-            powers[width] = (
-                decimal.Decimal(2) ** width if width <= 4096
-                else power(half) * power(width - half)
-            )
-        return powers[width]
-
-    def convert(n: int, width: int) -> decimal.Decimal:  # 0 <= n < 2**width
-        if width <= 4096:  # about 1233 digits, well under the cap
-            return decimal.Decimal(n)
-        half = width >> 1
-        high = n >> half
-        return convert(high, width - half) * power(half) + convert(n - (high << half), half)
-
-    with decimal.localcontext() as context:
-        # exact integer arithmetic: no rounding, no exponent limit
-        context.prec = decimal.MAX_PREC
-        context.Emax = decimal.MAX_EMAX
-        context.traps[decimal.Inexact] = True
-        digits = str(convert(abs(value), value.bit_length()))
-    return "-" + digits if value < 0 else digits
+    width = value.bit_length() * 3 // 20  # about half the decimal digits
+    high, low = divmod(abs(value), 10**width)
+    sign = "-" if value < 0 else ""
+    return sign + decimal_string(high) + decimal_string(low).zfill(width)
 
 
 def json_line(value) -> str:

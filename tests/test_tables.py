@@ -1,7 +1,6 @@
 """Tests for shell/slice table building and its serializers."""
 
 import csv
-import decimal
 import io
 import json
 import random
@@ -205,8 +204,8 @@ def test_serializers_on_empty_table():
 
 # ------------------------------------------- beyond the int-to-str cap
 
-# 5201 digits, above CPython's 4300-digit cap, with a long zero run in the
-# middle
+# 5201 digits, above CPython's 4300-digit cap; the zero run straddles the
+# point where decimal_string splits the value
 HUGE_DIGITS = "9" + "0" * 2600 + "".join(
     random.Random(4300).choices("0123456789", k=2600)
 )
@@ -236,11 +235,9 @@ def test_decimal_string_is_str_below_the_cap():
 
 
 def test_decimal_string_keeps_the_cap_on_parsing():
-    context = repr(decimal.getcontext())
     decimal_string(HUGE)
     with pytest.raises(ValueError):
         int(HUGE_DIGITS)
-    assert repr(decimal.getcontext()) == context  # its exact context was local
 
 
 def _around_the_cap():
