@@ -40,9 +40,19 @@ class _UsageError(Exception):
     pass
 
 
+class _HelpFormatter(argparse.HelpFormatter):
+    # 3.13's argparse writes "-n, --neighborhood {...}"; the CLI keeps the
+    # layout of earlier releases, each option string with its argument
+    def _format_action_invocation(self, action):
+        if not action.option_strings or action.nargs == 0:
+            return super()._format_action_invocation(action)
+        args = self._format_args(action, self._get_default_metavar_for_optional(action))
+        return ", ".join(f"{option} {args}" for option in action.option_strings)
+
+
 class _Parser(argparse.ArgumentParser):
     def __init__(self, **kwargs):
-        super().__init__(**kwargs)
+        super().__init__(formatter_class=_HelpFormatter, **kwargs)
         # argparse reads a word after an option as its value only if the word
         # does not look like an option; "-12,3,3" does, unlike a plain "-12",
         # so any point whose first chunk starts "-<digit>" is let through too

@@ -10,8 +10,6 @@ the same change and says so:
 import io
 import json
 import os
-import re
-import sys
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -118,13 +116,6 @@ def pytest_generate_tests(metafunc):
 
 
 def test_cli_output_matches_the_golden_file(entry, monkeypatch):
-    if sys.version_info >= (3, 13):
-        # 3.13's argparse lists a short and long option with choices once:
-        # "-n, --neighborhood {...}" instead of "-n {...}, --neighborhood {...}"
-        stdout = re.sub(
-            r"-n (\{[^}]*\}), --neighborhood \1", r"-n, --neighborhood \1", entry["stdout"]
-        )
-        entry = {**entry, "stdout": stdout}
     monkeypatch.setenv("COLUMNS", "80")  # help text wraps at the terminal width
     assert invoke(entry["args"]) == entry
 
@@ -138,13 +129,6 @@ def test_the_generator_lists_the_golden_file_invocations_in_order():
 if __name__ == "__main__":
     os.environ["COLUMNS"] = "80"
     corpus = [invoke(args) for args in invocations()]
-    if sys.version_info >= (3, 13):
-        # write the pre-3.13 help wording that every Python replays: the
-        # inverse of the rewrite in test_cli_output_matches_the_golden_file
-        for entry in corpus:
-            entry["stdout"] = re.sub(
-                r"-n, --neighborhood (\{[^}]*\})", r"-n \1, --neighborhood \1", entry["stdout"]
-            )
     GOLDEN.parent.mkdir(exist_ok=True)
     lines = ",\n".join(json.dumps(entry) for entry in corpus)
     GOLDEN.write_text(f"[\n{lines}\n]\n", encoding="utf-8")
