@@ -50,14 +50,17 @@ def _non_integer(kind: str, components: tuple) -> TypeError:
 
 class _CheckedMake:
     # a class-syntax NamedTuple may not define __new__, so the three grid types
-    # subclass the functional form and check their fields in __new__; listed
-    # first among their bases, this sends _make (and so _replace) through it
+    # subclass the functional form and check their fields in __new__; first of
+    # their bases, this sends _make (so _replace) through it and holds their tuple view
 
     __slots__ = ()
 
     @classmethod
     def _make(cls, iterable):
         return cls(*iterable)
+
+    def as_tuple(self) -> tuple[int, int, int]:
+        return tuple(self)
 
 
 class GridPoint(_CheckedMake, NamedTuple("GridPoint", [("x", int), ("y", int), ("z", int)])):
@@ -68,14 +71,11 @@ class GridPoint(_CheckedMake, NamedTuple("GridPoint", [("x", int), ("y", int), (
     def __new__(cls, x: int, y: int, z: int) -> GridPoint:
         if type(x) is not int or type(y) is not int or type(z) is not int:
             raise _non_integer("grid point", (x, y, z))
-        return super().__new__(cls, x, y, z)
+        return tuple.__new__(cls, (x, y, z))
 
     def displacement_from(self, other: GridPoint) -> tuple[int, int, int]:
         """Componentwise self - other."""
         return (self.x - other.x, self.y - other.y, self.z - other.z)
-
-    def as_tuple(self) -> tuple[int, int, int]:
-        return (self.x, self.y, self.z)
 
 
 ORIGIN = GridPoint(0, 0, 0)
@@ -98,10 +98,7 @@ class MoveStep(_CheckedMake, NamedTuple("MoveStep", [("dx", int), ("dy", int), (
             raise ValueError(f"step components must be -1, 0 or 1: {(dx, dy, dz)}")
         if dx == 0 and dy == 0 and dz == 0:
             raise ValueError("the null step is not a move")
-        return super().__new__(cls, dx, dy, dz)
-
-    def as_tuple(self) -> tuple[int, int, int]:
-        return (self.dx, self.dy, self.dz)
+        return tuple.__new__(cls, (dx, dy, dz))
 
 
 _MOVES = {
@@ -136,10 +133,9 @@ class CanonicalOffset(
             raise _non_integer("canonical offset", (i, j, k))
         if not i >= j >= k >= 0:
             raise ValueError(f"canonical offset needs i >= j >= k >= 0: {(i, j, k)}")
-        return super().__new__(cls, i, j, k)
+        return tuple.__new__(cls, (i, j, k))
 
-    def as_triple(self) -> tuple[int, int, int]:
-        return (self.i, self.j, self.k)
+    as_triple = _CheckedMake.as_tuple
 
 
 def canonicalize(p: GridPoint, q: GridPoint) -> CanonicalOffset:

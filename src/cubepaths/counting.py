@@ -21,7 +21,7 @@ def count_n6(off: CanonicalOffset) -> int:
     the slots of the x-steps, then of the y-steps among the rest.
     """
     check_type("off", off, CanonicalOffset)
-    i, j, k = off.as_triple()
+    i, j, k = off
     return comb(i + j + k, i) * comb(j + k, j)
 
 
@@ -57,11 +57,11 @@ def count_n18_maxcase(off: CanonicalOffset) -> int:
     over a gives the total.
     """
     check_type("off", off, CanonicalOffset)
-    i, j, k = off.as_triple()
+    i, j, k = off
     slack = i - j - k
     if slack < 0:
         raise ValueError(
-            f"dominant-coordinate formula needs i >= j + k, got {off.as_triple()}"
+            f"dominant-coordinate formula needs i >= j + k, got {tuple(off)}"
         )
     return sum(
         comb(i, a) * comb(i - a, k + a) * _planar(i - k - 2 * a, j)
@@ -82,10 +82,10 @@ def count_n18_halfcase(off: CanonicalOffset) -> int:
     host the single step, and contributes nothing to the weight.
     """
     check_type("off", off, CanonicalOffset)
-    i, j, k = off.as_triple()
+    i, j, k = off
     if i > j + k + 1:
         raise ValueError(
-            f"half-sum formula needs i <= j + k + 1, got {off.as_triple()}"
+            f"half-sum formula needs i <= j + k + 1, got {tuple(off)}"
         )
     steps = (i + j + k + 1) // 2
     ri, rj, rk = steps - i, steps - j, steps - k
@@ -105,7 +105,7 @@ class N18Case(Enum):
 
 def classify_n18(off: CanonicalOffset) -> N18Case:
     check_type("off", off, CanonicalOffset)
-    i, j, k = off.as_triple()
+    i, j, k = off
     if i > j + k + 1:
         return N18Case.MAX_CASE
     if i < j + k:
@@ -135,6 +135,7 @@ def count_paths(
     run and a disagreement (impossible unless a formula is broken) raises.
     """
     check_type("off", off, CanonicalOffset)
+    check_type("check_overlap", check_overlap, bool)
     if neighborhood is Neighborhood.N6:
         return count_n6(off)
     if neighborhood is Neighborhood.N26:
@@ -149,6 +150,6 @@ def count_paths(
         other = count_n18_halfcase(off)
         if other != value:
             raise AssertionError(
-                f"overlap formulas disagree at {off.as_triple()}: {value} vs {other}"
+                f"overlap formulas disagree at {tuple(off)}: {value} vs {other}"
             )
     return value

@@ -45,8 +45,8 @@ def oracle_count(target: GridPoint, neighborhood: Neighborhood) -> int:
     """
     check_type("target", target, GridPoint)
     # exact tuples unpack faster than named tuples in the DP's inner loop
-    moves = sorted(m.as_tuple() for m in admissible_moves(neighborhood))
-    return _layered_count(target.as_tuple(), moves, displacement_metric(neighborhood))
+    moves = sorted(tuple(m) for m in admissible_moves(neighborhood))
+    return _layered_count(tuple(target), moves, displacement_metric(neighborhood))
 
 
 def oracle_count_2d(i: int, j: int) -> int:
@@ -60,7 +60,7 @@ def oracle_count_2d(i: int, j: int) -> int:
     check_type("j", j, int)
     # exact tuples, as in oracle_count
     moves = sorted(
-        m.as_tuple() for m in admissible_moves(Neighborhood.N26) if m.dz == 0
+        tuple(m) for m in admissible_moves(Neighborhood.N26) if m.dz == 0
     )
     return _layered_count((i, j, 0), moves, displacement_metric(Neighborhood.N26))
 
@@ -96,7 +96,7 @@ def iter_shortest_paths(
     """
     check_type("target", target, GridPoint)
     dist = displacement_metric(neighborhood)
-    tx, ty, tz = target.as_tuple()
+    tx, ty, tz = target
     total = dist(tx, ty, tz)
     if total == 0:
         yield ()

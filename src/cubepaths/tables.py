@@ -10,7 +10,7 @@ from __future__ import annotations
 from itertools import permutations, product
 from typing import NamedTuple
 
-from .core import CanonicalOffset, GridPoint, Neighborhood, check_size
+from .core import CanonicalOffset, GridPoint, Neighborhood, check_size, check_type
 from .counting import count_n8_2d, count_paths
 from .metrics import displacement_metric
 
@@ -47,6 +47,7 @@ def shell_table(
     restores the full shell for reproducing complete distance spheres.
     """
     check_size("length", length, 0)
+    check_type("expand_symmetry", expand_symmetry, bool)
     dist = displacement_metric(neighborhood)
     entries: list[TableEntry] = []
     # the dominant coordinate never exceeds the digital distance

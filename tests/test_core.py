@@ -148,6 +148,14 @@ def test_equal_values_hash_equal(kind, fields, components):
     assert len({value, twin}) == 1
 
 
+@pytest.mark.parametrize("kind,fields,components", VALUES, ids=VALUE_IDS)
+def test_as_tuple_is_the_exact_tuple_of_the_fields(kind, fields, components):
+    value = kind(*components)
+    view = value.as_tuple()
+    assert type(view) is tuple and view == tuple(value) == components
+    assert CanonicalOffset.as_triple is CanonicalOffset.as_tuple
+
+
 @pytest.mark.parametrize("neighborhood", list(Neighborhood))
 def test_sorted_moves_are_in_lexicographic_component_order(neighborhood):
     moves = sorted(admissible_moves(neighborhood))

@@ -580,6 +580,25 @@ def test_every_raw_int_parameter_refuses_what_is_not_exactly_int(entry, value):
     assert str(refused.value) == f"{parameter} must be int: {value!r}"
 
 
+# every flag parameter of a public entry, called with a valid rest
+_FLAG_PARAMETERS = {
+    "shell_table(expand_symmetry)": lambda v: shell_table(Neighborhood.N6, 2, v),
+    "count_paths(check_overlap)": lambda v: count_paths(
+        CanonicalOffset(2, 1, 1), Neighborhood.N18, v
+    ),
+}
+
+
+@pytest.mark.parametrize("value", [1, 0, "yes", None])
+@pytest.mark.parametrize("entry", list(_FLAG_PARAMETERS))
+def test_every_flag_parameter_refuses_what_is_not_exactly_bool(entry, value):
+    # a truthy value used to expand the shell or run the overlap check
+    with pytest.raises(TypeError) as refused:
+        _FLAG_PARAMETERS[entry](value)
+    parameter = entry[entry.index("(") + 1 : -1]
+    assert str(refused.value) == f"{parameter} must be bool: {value!r}"
+
+
 @given(canonical_offsets(max_value=15))
 def test_richer_neighborhoods_at_zero_offset(off):
     if off.as_triple() == (0, 0, 0):
