@@ -102,10 +102,10 @@ class MoveStep(_CheckedMake, NamedTuple("MoveStep", [("dx", int), ("dy", int), (
 
 
 _MOVES = {
-    neighborhood: frozenset(
+    n: frozenset(
         MoveStep(*s) for s in product((-1, 0, 1), repeat=3) if 0 < sum(map(abs, s)) <= cap
     )
-    for neighborhood, cap in zip(Neighborhood, (1, 2, 3))
+    for n, cap in {Neighborhood.N6: 1, Neighborhood.N18: 2, Neighborhood.N26: 3}.items()
 }
 
 

@@ -24,7 +24,7 @@ def _linf(dx: int, dy: int, dz: int) -> int:
     return max(abs(dx), abs(dy), abs(dz))
 
 
-_BY_NEIGHBORHOOD = dict(zip(Neighborhood, (_l1, _d18, _linf)))
+_BY_NEIGHBORHOOD = {Neighborhood.N6: _l1, Neighborhood.N18: _d18, Neighborhood.N26: _linf}
 
 
 def displacement_metric(neighborhood: Neighborhood) -> Callable[[int, int, int], int]:

@@ -19,6 +19,11 @@ from .metrics import displacement_metric
 
 DEFAULT_ENUMERATION_LIMIT = 10_000
 
+# one table per connectivity, built once: rows of a step, in lexicographic order,
+# then its components as exact ints, which unpack faster than a named tuple
+_STEPS = {n: tuple((m, *m) for m in sorted(admissible_moves(n))) for n in Neighborhood}
+_PLANAR_STEPS = tuple(row for row in _STEPS[Neighborhood.N26] if row[3] == 0)  # dz = 0
+
 
 class PathList(NamedTuple):
     """Shortest paths, each an ordered step sequence.
@@ -44,9 +49,8 @@ def oracle_count(target: GridPoint, neighborhood: Neighborhood) -> int:
     predecessors.  The DP therefore touches O((2d+1)^3) points at worst.
     """
     check_type("target", target, GridPoint)
-    # exact tuples unpack faster than named tuples in the DP's inner loop
-    moves = sorted(tuple(m) for m in admissible_moves(neighborhood))
-    return _layered_count(tuple(target), moves, displacement_metric(neighborhood))
+    dist = displacement_metric(neighborhood)  # refuses what is not a Neighborhood
+    return _layered_count(target, _STEPS[neighborhood], dist)
 
 
 def oracle_count_2d(i: int, j: int) -> int:
@@ -58,16 +62,12 @@ def oracle_count_2d(i: int, j: int) -> int:
     """
     check_type("i", i, int)
     check_type("j", j, int)
-    # exact tuples, as in oracle_count
-    moves = sorted(
-        tuple(m) for m in admissible_moves(Neighborhood.N26) if m.dz == 0
-    )
-    return _layered_count((i, j, 0), moves, displacement_metric(Neighborhood.N26))
+    return _layered_count((i, j, 0), _PLANAR_STEPS, displacement_metric(Neighborhood.N26))
 
 
 def _layered_count(
     target: tuple[int, int, int],
-    moves: list[tuple[int, int, int]],
+    steps: tuple[tuple[MoveStep, int, int, int], ...],
     dist: Callable[[int, int, int], int],
 ) -> int:
     tx, ty, tz = target
@@ -77,8 +77,8 @@ def _layered_count(
         remaining = total - step
         nxt: dict[tuple[int, int, int], int] = defaultdict(int)
         for (ux, uy, uz), ways in layer.items():
-            for mx, my, mz in moves:
-                vx, vy, vz = ux + mx, uy + my, uz + mz
+            for _, dx, dy, dz in steps:
+                vx, vy, vz = ux + dx, uy + dy, uz + dz
                 if dist(tx - vx, ty - vy, tz - vz) == remaining:
                     nxt[(vx, vy, vz)] += ways
         layer = nxt
@@ -95,20 +95,20 @@ def iter_shortest_paths(
     to the target by one, which prunes everything off-geodesic.
     """
     check_type("target", target, GridPoint)
-    dist = displacement_metric(neighborhood)
+    dist = displacement_metric(neighborhood)  # refuses what is not a Neighborhood
+    steps = _STEPS[neighborhood]
     tx, ty, tz = target
     total = dist(tx, ty, tz)
     if total == 0:
         yield ()
         return
-    moves = sorted(admissible_moves(neighborhood))
 
     def onward(
         ux: int, uy: int, uz: int, remaining: int
     ) -> Iterator[tuple[MoveStep, int, int, int]]:
         # the steps out of u that stay on a geodesic, in lexicographic order
-        for step in moves:
-            vx, vy, vz = ux + step.dx, uy + step.dy, uz + step.dz
+        for step, dx, dy, dz in steps:
+            vx, vy, vz = ux + dx, uy + dy, uz + dz
             if dist(tx - vx, ty - vy, tz - vz) == remaining - 1:
                 yield step, vx, vy, vz
 

@@ -106,7 +106,7 @@ def test_move_step_ordering_is_lexicographic():
     assert MoveStep(-1, 0, 0) < MoveStep(0, -1, 0) < MoveStep(0, 0, 1) < MoveStep(1, -1, -1)
 
 
-def test_admissible_under_matches_weight():
+def test_a_diagonal_step_is_an_n18_and_n26_move_but_not_an_n6_move():
     step = MoveStep(1, 1, 0)
     assert step not in admissible_moves(Neighborhood.N6)
     assert step in admissible_moves(Neighborhood.N18)

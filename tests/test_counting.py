@@ -229,6 +229,76 @@ def test_planar_recurrence_certificate():
     assert sympy.simplify(sympy.diff(p, x) * (1 + x + x**2) - n * (1 + 2 * x) * p) == 0
 
 
+# ---------------------------------------- N18 half-case recurrence certificates
+#
+# Write r = (L - i, L - j, L - k) with L the half-case distance, and w(a, b, c)
+# = ab + bc + ca.  The half case is L! / (r_i! r_j! r_k!) at even coordinate
+# sum, where L = r_i + r_j + r_k, and that quotient times w(r) at odd sum, where
+# L = r_i + r_j + r_k - 1.  A pair step such as (i - 1, j - 1, k) lowers L and
+# r_k by one; a single-axis step (i - 1, j, k) turns an odd sum even, lowers L
+# by one and r_j, r_k by one each.  Divided by (L - 1)! / (r_i! r_j! r_k!), every
+# count in the geodesic recurrence becomes a polynomial in r, so the recurrence
+# is one polynomial identity per parity.  Which predecessors exist in each
+# case region is not proven here.
+
+
+def _w(a, b, c):
+    return a * b + b * c + c * a
+
+
+def _halfcase_in_r(sympy, a, b, c, odd):
+    f = sympy.factorial
+    if odd:
+        return f(a + b + c - 1) * _w(a, b, c) / (f(a) * f(b) * f(c))
+    return f(a + b + c) / (f(a) * f(b) * f(c))
+
+
+def _reduced_terms(sympy, r, odd, predecessors):
+    # each count over (L - 1)! / (r_i! r_j! r_k!), the target's own first
+    ri, rj, rk = r
+    f = sympy.factorial
+    scale = f(sum(r) - (2 if odd else 1)) / (f(ri) * f(rj) * f(rk))
+    counts = [_halfcase_in_r(sympy, ri, rj, rk, odd)]
+    counts += [_halfcase_in_r(sympy, *shifted, parity) for shifted, parity in predecessors]
+    return [sympy.factor(sympy.combsimp(count / scale)) for count in counts]
+
+
+def test_halfcase_even_sum_certificate():
+    # the three pair predecessors give r_k/L + r_j/L + r_i/L = 1
+    sympy = pytest.importorskip("sympy")
+    r = ri, rj, rk = sympy.symbols("r_i r_j r_k", positive=True, integer=True)
+    pairs = [((ri, rj, rk - 1), False), ((ri, rj - 1, rk), False), ((ri - 1, rj, rk), False)]
+    own, *terms = _reduced_terms(sympy, r, False, pairs)
+    assert [sympy.expand(t) for t in (own, *terms)] == [ri + rj + rk, rk, rj, ri]
+    assert sympy.simplify(rk / own + rj / own + ri / own) == 1
+
+
+def test_halfcase_odd_sum_certificate():
+    # the pair predecessors give r_k w(r_i, r_j, r_k - 1) and its two images,
+    # the single-axis ones r_j r_k, r_i r_k and r_i r_j; they sum to L w(r)
+    sympy = pytest.importorskip("sympy")
+    r = ri, rj, rk = sympy.symbols("r_i r_j r_k", positive=True, integer=True)
+    pairs = [((ri, rj, rk - 1), True), ((ri, rj - 1, rk), True), ((ri - 1, rj, rk), True)]
+    singles = [
+        ((ri, rj - 1, rk - 1), False),
+        ((ri - 1, rj, rk - 1), False),
+        ((ri - 1, rj - 1, rk), False),
+    ]
+    own, *terms = _reduced_terms(sympy, r, True, pairs + singles)
+    L = ri + rj + rk - 1
+    expected = [
+        rk * _w(ri, rj, rk - 1),
+        rj * _w(ri, rj - 1, rk),
+        ri * _w(ri - 1, rj, rk),
+        rj * rk,
+        ri * rk,
+        ri * rj,
+    ]
+    assert sympy.expand(own - L * _w(ri, rj, rk)) == 0
+    assert [sympy.expand(t - e) for t, e in zip(terms, expected)] == [0] * 6
+    assert sympy.expand(sum(expected) - L * _w(ri, rj, rk)) == 0
+
+
 # ------------------------------------------------------- face connectivity
 
 
@@ -631,18 +701,90 @@ def test_counts_stay_exact_at_large_coordinates():
     ],
 )
 def test_count_is_the_sum_over_geodesic_predecessors(triple, neighborhood):
-    # A shortest path to v ends with a step from a point one closer to the
-    # origin, so count(v) is the sum of count(u) over those predecessors u.
     # Both sides come from the formulas, at sizes the oracle cannot reach;
     # the identity is linear, so a formula off by a constant factor passes.
     v = GridPoint(*triple)
+    assert count_paths(canonicalize(v, ORIGIN), neighborhood) == _predecessor_sum(
+        v, neighborhood, count_paths
+    )
+
+
+def _predecessor_sum(v, neighborhood, count):
+    # A shortest path to v ends with a step from a point one closer to the
+    # origin, so count(v) is the sum of count(u) over those predecessors u.
     steps = distance(v, ORIGIN, neighborhood)
     total = 0
     for move in admissible_moves(neighborhood):
         u = GridPoint(v.x - move.dx, v.y - move.dy, v.z - move.dz)
         if distance(u, ORIGIN, neighborhood) == steps - 1:
-            total += count_paths(canonicalize(u, ORIGIN), neighborhood)
-    assert count_paths(canonicalize(v, ORIGIN), neighborhood) == total
+            total += count(canonicalize(u, ORIGIN), neighborhood)
+    return total
+
+
+# ------------------------------------------------- far-field mid-layer cut
+#
+# Every shortest path from the origin to t crosses the layer of points v with
+# d(0, v) = s and d(v, t) = d - s exactly once, so count(0 -> t) is the sum of
+# count(0 -> v) * count(v -> t) over that layer (the path-counting lemma behind
+# Brandes, "A faster algorithm for betweenness centrality", 2001).  At
+# s = floor(d / 2) both factors are counts at about half of t's size, so an
+# error confined to offsets of t's size no longer cancels as it does in the
+# recurrence.  The cut alone passes a count scaled by c^d (c^s * c^(d - s));
+# the recurrence, which compares counts one step apart, does not.
+
+
+def _middle_layer(t, neighborhood):
+    # every metric here is at least the largest coordinate difference, so each
+    # layer point lies within s of the origin and d - s of t on every axis
+    dist = displacement_metric(neighborhood)
+    d = dist(*t)
+    s = d // 2
+    reach = [range(max(-s, c - (d - s)), min(s, c + (d - s)) + 1) for c in t]
+    return [
+        GridPoint(x, y, z)
+        for x in reach[0]
+        for y in reach[1]
+        for z in reach[2]
+        if dist(x, y, z) == s and dist(t.x - x, t.y - y, t.z - z) == d - s
+    ]
+
+
+def _cut_sum(t, neighborhood, count):
+    return sum(
+        count(canonicalize(v, ORIGIN), neighborhood) * count(canonicalize(t, v), neighborhood)
+        for v in _middle_layer(t, neighborhood)
+    )
+
+
+_CUT_TARGETS = [
+    (60, 25, 10),  # N18 max case
+    (70, 10, 3),
+    (40, 39, 38),  # N18 half case
+    (-51, 20, 30),  # N18 overlap, i == j + k + 1, signed
+]
+
+
+@pytest.mark.parametrize("neighborhood", list(Neighborhood))
+@pytest.mark.parametrize("triple", _CUT_TARGETS)
+def test_count_is_the_sum_over_the_middle_layer(triple, neighborhood):
+    t = GridPoint(*triple)
+    assert count_paths(canonicalize(t, ORIGIN), neighborhood) == _cut_sum(
+        t, neighborhood, count_paths
+    )
+
+
+def test_the_cut_catches_a_region_scaled_count_that_the_recurrence_passes():
+    # doubling every count with i >= 50 scales both sides of the recurrence
+    # near t alike, but no middle-layer factor of these targets is that large
+    def doubled(off, neighborhood):
+        return (2 if off.i >= 50 else 1) * count_paths(off, neighborhood)
+
+    for neighborhood in Neighborhood:
+        for triple in _CUT_TARGETS[:2]:
+            t = GridPoint(*triple)
+            count = doubled(canonicalize(t, ORIGIN), neighborhood)
+            assert count == _predecessor_sum(t, neighborhood, doubled), (triple, neighborhood)
+            assert count != _cut_sum(t, neighborhood, doubled), (triple, neighborhood)
 
 
 # ------------------------------------------------- far-field value pins

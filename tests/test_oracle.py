@@ -207,6 +207,24 @@ def test_paths_are_sorted_distinct_and_valid():
                 assert (sx, sy, sz) == target
 
 
+def test_the_searches_read_the_step_tables_built_at_import(monkeypatch):
+    # a row is a move, in lexicographic order, then its components as exact
+    # ints; the searches never rebuild the rows, and yield the very moves
+    for neighborhood in Neighborhood:
+        rows = oracle_module._STEPS[neighborhood]
+        assert [row[0] for row in rows] == sorted(admissible_moves(neighborhood))
+        assert all(type(row) is tuple and row[1:] == tuple(row[0]) for row in rows)
+        assert all(type(c) is int for row in rows for c in row[1:])
+    monkeypatch.setattr(oracle_module, "admissible_moves", None)
+    point = GridPoint(2, -1, 1)
+    for neighborhood in Neighborhood:
+        moves = {id(move) for move in admissible_moves(neighborhood)}
+        paths = list(iter_shortest_paths(point, neighborhood))
+        assert len(paths) == oracle_count(point, neighborhood)
+        assert all(id(step) in moves for path in paths for step in path)
+    assert oracle_count_2d(4, 1) == count_n8_2d(4, 1)
+
+
 # ------------------------------------------------------------ verification
 
 
