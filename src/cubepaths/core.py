@@ -42,10 +42,11 @@ def check_size(name: str, value: object, least: int) -> None:
         raise ValueError(f"{name} must be {rule}, got {value}")
 
 
-def _non_integer(kind: str, components: tuple) -> TypeError:
-    """The one refusal of components that are not all exactly int (so a
+def check_components(kind: str, a: object, b: object, c: object) -> None:
+    """The one refusal of grid components: each must be exactly ``int`` (so a
     float, a bool or a string is refused even where it equals an int)."""
-    return TypeError(f"{kind} components must be int: {components!r}")
+    if type(a) is not int or type(b) is not int or type(c) is not int:
+        raise TypeError(f"{kind} components must be int: {(a, b, c)!r}")
 
 
 class _CheckedMake:
@@ -69,8 +70,7 @@ class GridPoint(_CheckedMake, NamedTuple("GridPoint", [("x", int), ("y", int), (
     __slots__ = ()
 
     def __new__(cls, x: int, y: int, z: int) -> GridPoint:
-        if type(x) is not int or type(y) is not int or type(z) is not int:
-            raise _non_integer("grid point", (x, y, z))
+        check_components("grid point", x, y, z)
         return tuple.__new__(cls, (x, y, z))
 
     def displacement_from(self, other: GridPoint) -> tuple[int, int, int]:
@@ -92,8 +92,7 @@ class MoveStep(_CheckedMake, NamedTuple("MoveStep", [("dx", int), ("dy", int), (
     __slots__ = ()
 
     def __new__(cls, dx: int, dy: int, dz: int) -> MoveStep:
-        if type(dx) is not int or type(dy) is not int or type(dz) is not int:
-            raise _non_integer("step", (dx, dy, dz))
+        check_components("step", dx, dy, dz)
         if not all(c in (-1, 0, 1) for c in (dx, dy, dz)):
             raise ValueError(f"step components must be -1, 0 or 1: {(dx, dy, dz)}")
         if dx == 0 and dy == 0 and dz == 0:
@@ -129,8 +128,7 @@ class CanonicalOffset(
     __slots__ = ()
 
     def __new__(cls, i: int, j: int, k: int) -> CanonicalOffset:
-        if type(i) is not int or type(j) is not int or type(k) is not int:
-            raise _non_integer("canonical offset", (i, j, k))
+        check_components("canonical offset", i, j, k)
         if not i >= j >= k >= 0:
             raise ValueError(f"canonical offset needs i >= j >= k >= 0: {(i, j, k)}")
         return tuple.__new__(cls, (i, j, k))

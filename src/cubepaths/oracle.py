@@ -82,7 +82,8 @@ def _layered_count(
                 if dist(tx - vx, ty - vy, tz - vz) == remaining:
                     nxt[(vx, vy, vz)] += ways
         layer = nxt
-    return layer.get((tx, ty, tz), 0)
+    # the last layer is the target alone: the metric is 0 only there, a geodesic always exists
+    return layer[(tx, ty, tz)]
 
 
 def iter_shortest_paths(

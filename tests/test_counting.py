@@ -238,8 +238,8 @@ def test_planar_recurrence_certificate():
 # r_k by one; a single-axis step (i - 1, j, k) turns an odd sum even, lowers L
 # by one and r_j, r_k by one each.  Divided by (L - 1)! / (r_i! r_j! r_k!), every
 # count in the geodesic recurrence becomes a polynomial in r, so the recurrence
-# is one polynomial identity per parity.  Which predecessors exist in each
-# case region is not proven here.
+# is one polynomial identity per parity.  Which predecessors exist, and that
+# they stay where the half case applies, is checked on a box below.
 
 
 def _w(a, b, c):
@@ -297,6 +297,174 @@ def test_halfcase_odd_sum_certificate():
     assert sympy.expand(own - L * _w(ri, rj, rk)) == 0
     assert [sympy.expand(t - e) for t, e in zip(terms, expected)] == [0] * 6
     assert sympy.expand(sum(expected) - L * _w(ri, rj, rk)) == 0
+
+
+def _halfcase_predecessor_factors(off):
+    # the predecessors the two certificates above sum over, each with its
+    # polynomial factor in r: the pair step that keeps axis a lowers r_a; at odd
+    # sum the single-axis step along a lowers the other two
+    i, j, k = off
+    odd = (i + j + k) % 2
+    r = [(i + j + k + 1) // 2 - c for c in off]
+    for axis in range(3):
+        lowered = [c - (a == axis) for a, c in enumerate(r)]
+        pair = [c - (a != axis) for a, c in enumerate(off)]
+        yield pair, r[axis] * (_w(*lowered) if odd else 1)
+        if odd:
+            single = [c - (a == axis) for a, c in enumerate(off)]
+            yield single, r[(axis + 1) % 3] * r[(axis + 2) % 3]
+
+
+def _halfcase_pattern(off):
+    # a move shifts each of the gaps i - j, j - k, k and j + k + 1 - i by at
+    # most 2, so which predecessors exist and how canonicalize orders them
+    # depends on each gap only up to 3, and on the parity of the sum
+    i, j, k = off
+    gaps = (i - j, j - k, k, j + k + 1 - i)
+    return ((i + j + k) % 2, *(min(g, 3) for g in gaps))
+
+
+def _halfcase_box(top):
+    return [
+        CanonicalOffset(i, j, k)
+        for i in range(1, top + 1)
+        for j in range(i + 1)
+        for k in range(j + 1)
+        if i <= j + k + 1
+    ]
+
+
+def test_halfcase_predecessors_are_the_ones_the_certificates_sum_over():
+    # the geodesic predecessors of each half-case point, found from the move
+    # set and the metric alone, are the certificates' predecessors whose factor
+    # is not 0, and each lies where the half-case formula applies; the box
+    # i <= 12 holds every pattern of _halfcase_pattern (i <= 18 adds none)
+    box = _halfcase_box(12)
+    assert {_halfcase_pattern(off) for off in box} == {
+        _halfcase_pattern(off) for off in _halfcase_box(18)
+    }
+    n18 = Neighborhood.N18
+    for off in box:
+        v = GridPoint(*off)
+        steps = distance(v, ORIGIN, n18)
+        assert steps == (sum(off) + 1) // 2, off
+        found = sorted(
+            canonicalize(u, ORIGIN)
+            for move in admissible_moves(n18)
+            for u in [GridPoint(v.x - move.dx, v.y - move.dy, v.z - move.dz)]
+            if distance(u, ORIGIN, n18) == steps - 1
+        )
+        expected = sorted(
+            canonicalize(GridPoint(*u), ORIGIN)
+            for u, factor in _halfcase_predecessor_factors(off)
+            if factor != 0
+        )
+        assert found == expected, off
+        assert all(classify_n18(u) is not N18Case.MAX_CASE for u in found), off
+
+
+# ------------------------------------------- N6 and overlap certificates
+
+
+def test_n6_pascal_certificate():
+    # a face path ends with one of three unit steps, so the multinomial
+    # (i + j + k)! / (i! j! k!) is the sum of its three predecessors'; each
+    # quotient is i / (i + j + k) or an image, 0 where that predecessor is absent
+    sympy = pytest.importorskip("sympy")
+    i, j, k = sympy.symbols("i j k", positive=True, integer=True)
+    f = sympy.factorial
+
+    def n6(a, b, c):
+        return f(a + b + c) / (f(a) * f(b) * f(c))
+
+    quotients = [
+        sympy.combsimp(n6(*u) / n6(i, j, k)) for u in ((i - 1, j, k), (i, j - 1, k), (i, j, k - 1))
+    ]
+    assert sympy.simplify(sum(quotients)) == 1
+
+
+def test_overlap_certificate():
+    # at i = j + k + s with s = 0 or 1 the max-case double sum keeps the one
+    # term a = b = 0, and the half case has r = (0, k, j) or (0, k + 1, j + 1);
+    # both are C(j + k, k) at s = 0 and (j + k + 1)! / (j! k!) at s = 1
+    sympy = pytest.importorskip("sympy")
+    j, k, a, b, s = sympy.symbols("j k a b s", nonnegative=True, integer=True)
+    f = sympy.factorial
+    i = j + k + s
+    term = f(i) / (f(a) * f(b) * f(k + a) * f(j + b) * f(s - 2 * (a + b)))
+    for slack, r, common in (
+        (0, (0, k, j), sympy.binomial(j + k, k)),
+        (1, (0, k + 1, j + 1), f(j + k + 1) / (f(j) * f(k))),
+    ):
+        maxcase = term.subs({a: 0, b: 0, s: slack})
+        halfcase = _halfcase_in_r(sympy, *r, odd=slack == 1)
+        assert sympy.combsimp(maxcase / common) == 1
+        assert sympy.combsimp(halfcase / common) == 1
+
+
+# ----------------------------------------- step polynomial certificates
+#
+# A shortest path is a word in the steps it may take, so its count is a
+# coefficient of a power of the step polynomial.  Every chessboard step to a
+# dominant n advances x and moves y by -1, 0 or +1: the planar count to (n, j)
+# is the coefficient of x^(n + j) in (1 + x + x^2)^n.  Under N26 y and z move
+# independently, so its count is that coefficient in y times the one in z.  In
+# the N18 max case every step advances x and moves at most one of y and z: the
+# count is the coefficient of y^j z^k in (1 + y + 1/y + z + 1/z)^i.  Each
+# certificate proves that the power grows by one step polynomial per step, for
+# every n; a sweep ties the kernel to the expanded coefficients, built by the
+# same multiplication (the N18 step times yz, so every exponent is natural).
+
+_SWEEP_TOP = 20
+
+
+def _powers(sympy, step, gens):
+    # step^0, step^1, ... as polynomials, each the previous one times step
+    power, step = sympy.Poly(1, *gens), sympy.Poly(step, *gens)
+    for n in range(_SWEEP_TOP + 1):
+        yield n, power
+        power = power * step
+
+
+def _grows_by_one_step(sympy, power, step):
+    n = sympy.symbols("n", integer=True, positive=True)
+    return sympy.simplify(power(n) - power(n - 1) * step) == 0
+
+
+def test_planar_step_polynomial_certificate():
+    sympy = pytest.importorskip("sympy")
+    x = sympy.symbols("x")
+    step = 1 + x + x**2
+    assert _grows_by_one_step(sympy, lambda n: step**n, step)
+    for n, power in _powers(sympy, step, [x]):
+        for j in range(n + 1):
+            assert count_n8_2d(n, j) == power.nth(n + j), (n, j)
+
+
+def test_n26_step_polynomial_certificate():
+    sympy = pytest.importorskip("sympy")
+    y, z = sympy.symbols("y z")
+    in_y, in_z = 1 + y + y**2, 1 + z + z**2
+    n = sympy.symbols("n", integer=True, positive=True)
+    assert sympy.simplify((in_y * in_z) ** n - in_y**n * in_z**n) == 0
+    assert _grows_by_one_step(sympy, lambda n: in_y**n * in_z**n, in_y * in_z)
+    for i, power in _powers(sympy, in_y * in_z, [y, z]):
+        for j in range(i + 1):
+            for k in range(j + 1):
+                off = CanonicalOffset(i, j, k)
+                assert count_n26(off) == power.nth(i + j, i + k), off
+
+
+def test_maxcase_step_polynomial_certificate():
+    sympy = pytest.importorskip("sympy")
+    y, z = sympy.symbols("y z")
+    step = 1 + y + 1 / y + z + 1 / z
+    assert _grows_by_one_step(sympy, lambda n: step**n, step)
+    for i, power in _powers(sympy, sympy.expand(y * z * step), [y, z]):
+        for j in range(i + 1):
+            for k in range(min(j, i - j) + 1):
+                off = CanonicalOffset(i, j, k)
+                assert count_n18_maxcase(off) == power.nth(i + j, i + k), off
 
 
 # ------------------------------------------------------- face connectivity
@@ -687,6 +855,21 @@ def test_counts_stay_exact_at_large_coordinates():
 
 # ------------------------------------------------- far-field recurrence
 
+# where both the recurrence and the mid-layer cut run: d <= 120 under every
+# connectivity (coordinate sum at most 120), so each cut takes well under 0.3 s
+_FAR_TARGETS = [
+    (60, 25, 10),  # N18 max case, odd sum
+    (70, 10, 3),
+    (40, 39, 38),  # N18 half case, odd sum
+    (-51, 20, 30),  # N18 overlap, i == j + k + 1 (odd sum), signed
+    (12, -30, 62),  # N18 max case, even sum, signed and permuted
+    (40, 38, 36),  # N18 half case, even sum
+    (50, 30, 20),  # N18 overlap, i == j + k (even sum)
+    (110, 0, 0),  # an axis
+    (58, 58, 0),  # the planar diagonal
+    (39, 39, 39),  # the spatial diagonal
+]
+
 
 @pytest.mark.parametrize("neighborhood", list(Neighborhood))
 @pytest.mark.parametrize(
@@ -698,6 +881,7 @@ def test_counts_stay_exact_at_large_coordinates():
         (201, 100, 100),  # N18 overlap, i == j + k + 1
         (300, 150, 75),
         (1000, 500, 250),
+        *_FAR_TARGETS,
     ],
 )
 def test_count_is_the_sum_over_geodesic_predecessors(triple, neighborhood):
@@ -756,16 +940,8 @@ def _cut_sum(t, neighborhood, count):
     )
 
 
-_CUT_TARGETS = [
-    (60, 25, 10),  # N18 max case
-    (70, 10, 3),
-    (40, 39, 38),  # N18 half case
-    (-51, 20, 30),  # N18 overlap, i == j + k + 1, signed
-]
-
-
 @pytest.mark.parametrize("neighborhood", list(Neighborhood))
-@pytest.mark.parametrize("triple", _CUT_TARGETS)
+@pytest.mark.parametrize("triple", _FAR_TARGETS)
 def test_count_is_the_sum_over_the_middle_layer(triple, neighborhood):
     t = GridPoint(*triple)
     assert count_paths(canonicalize(t, ORIGIN), neighborhood) == _cut_sum(
@@ -780,7 +956,7 @@ def test_the_cut_catches_a_region_scaled_count_that_the_recurrence_passes():
         return (2 if off.i >= 50 else 1) * count_paths(off, neighborhood)
 
     for neighborhood in Neighborhood:
-        for triple in _CUT_TARGETS[:2]:
+        for triple in _FAR_TARGETS[:2]:
             t = GridPoint(*triple)
             count = doubled(canonicalize(t, ORIGIN), neighborhood)
             assert count == _predecessor_sum(t, neighborhood, doubled), (triple, neighborhood)
