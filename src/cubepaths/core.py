@@ -21,11 +21,6 @@ class Neighborhood(Enum):
     N26 = 26
 
 
-def unknown_neighborhood(value: object) -> ValueError:
-    """The one refusal of a value that is not a Neighborhood."""
-    return ValueError(f"unknown neighborhood: {value!r}")
-
-
 def check_type(name: str, value: object, kind: type) -> None:
     """The one refusal of a parameter of the wrong type: a raw int must be
     exactly ``int`` (so ``True`` and ``2.0`` are refused), any other type
@@ -47,6 +42,12 @@ def check_components(kind: str, a: object, b: object, c: object) -> None:
     float, a bool or a string is refused even where it equals an int)."""
     if type(a) is not int or type(b) is not int or type(c) is not int:
         raise TypeError(f"{kind} components must be int: {(a, b, c)!r}")
+
+
+def check_neighborhood(value: object) -> None:
+    """The one refusal of a value that is not a Neighborhood member."""
+    if not isinstance(value, Neighborhood):
+        raise ValueError(f"unknown neighborhood: {value!r}")
 
 
 class _CheckedMake:
@@ -110,10 +111,8 @@ _MOVES = {
 
 def admissible_moves(neighborhood: Neighborhood) -> frozenset[MoveStep]:
     """The full move set of a connectivity: 6, 18 or 26 steps."""
-    try:
-        return _MOVES[neighborhood]
-    except (KeyError, TypeError):  # TypeError: an unhashable value
-        raise unknown_neighborhood(neighborhood) from None
+    check_neighborhood(neighborhood)
+    return _MOVES[neighborhood]
 
 
 class CanonicalOffset(

@@ -10,7 +10,7 @@ from __future__ import annotations
 from enum import Enum
 from math import comb
 
-from .core import CanonicalOffset, Neighborhood, check_type, unknown_neighborhood
+from .core import CanonicalOffset, Neighborhood, check_neighborhood, check_type
 
 
 def count_n6(off: CanonicalOffset) -> int:
@@ -136,12 +136,11 @@ def count_paths(
     """
     check_type("off", off, CanonicalOffset)
     check_type("check_overlap", check_overlap, bool)
+    check_neighborhood(neighborhood)
     if neighborhood is Neighborhood.N6:
         return count_n6(off)
     if neighborhood is Neighborhood.N26:
         return count_n26(off)
-    if neighborhood is not Neighborhood.N18:
-        raise unknown_neighborhood(neighborhood)
     case = classify_n18(off)
     if case is N18Case.HALF_CASE:
         return count_n18_halfcase(off)

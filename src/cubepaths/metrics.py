@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from typing import Callable
 
-from .core import GridPoint, Neighborhood, check_type, unknown_neighborhood
+from .core import GridPoint, Neighborhood, check_neighborhood, check_type
 
 
 def _l1(dx: int, dy: int, dz: int) -> int:
@@ -33,10 +33,8 @@ def displacement_metric(neighborhood: Neighborhood) -> Callable[[int, int, int],
     This is the form the path oracle consumes in its inner loop, where
     building GridPoint pairs per edge would dominate the runtime.
     """
-    try:
-        return _BY_NEIGHBORHOOD[neighborhood]
-    except (KeyError, TypeError):  # TypeError: an unhashable value
-        raise unknown_neighborhood(neighborhood) from None
+    check_neighborhood(neighborhood)
+    return _BY_NEIGHBORHOOD[neighborhood]
 
 
 def distance(p: GridPoint, q: GridPoint, neighborhood: Neighborhood) -> int:

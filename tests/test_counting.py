@@ -324,43 +324,78 @@ def _halfcase_pattern(off):
     return ((i + j + k) % 2, *(min(g, 3) for g in gaps))
 
 
-def _halfcase_box(top):
+def _n18_box(top, keep):
     return [
         CanonicalOffset(i, j, k)
         for i in range(1, top + 1)
         for j in range(i + 1)
         for k in range(j + 1)
-        if i <= j + k + 1
+        if keep(i, j, k)
     ]
 
 
-def test_halfcase_predecessors_are_the_ones_the_certificates_sum_over():
-    # the geodesic predecessors of each half-case point, found from the move
-    # set and the metric alone, are the certificates' predecessors whose factor
-    # is not 0, and each lies where the half-case formula applies; the box
-    # i <= 12 holds every pattern of _halfcase_pattern (i <= 18 adds none)
-    box = _halfcase_box(12)
-    assert {_halfcase_pattern(off) for off in box} == {
-        _halfcase_pattern(off) for off in _halfcase_box(18)
-    }
+def _check_n18_predecessors(keep, pattern, steps, expected, excluded):
+    # the geodesic predecessors of each point of a region, found from the move
+    # set and the metric alone, are the expected points (compared raw, so each
+    # is one step back along the move the certificate names), and none lies in
+    # the excluded case; the box i <= 12 holds every pattern (i <= 18 adds none)
+    box = _n18_box(12, keep)
+    assert {pattern(off) for off in box} == {pattern(off) for off in _n18_box(18, keep)}
     n18 = Neighborhood.N18
     for off in box:
         v = GridPoint(*off)
-        steps = distance(v, ORIGIN, n18)
-        assert steps == (sum(off) + 1) // 2, off
-        found = sorted(
-            canonicalize(u, ORIGIN)
+        assert distance(v, ORIGIN, n18) == steps(off), off
+        found = {
+            u
             for move in admissible_moves(n18)
             for u in [GridPoint(v.x - move.dx, v.y - move.dy, v.z - move.dz)]
-            if distance(u, ORIGIN, n18) == steps - 1
-        )
-        expected = sorted(
-            canonicalize(GridPoint(*u), ORIGIN)
-            for u, factor in _halfcase_predecessor_factors(off)
-            if factor != 0
-        )
-        assert found == expected, off
-        assert all(classify_n18(u) is not N18Case.MAX_CASE for u in found), off
+            if distance(u, ORIGIN, n18) == steps(off) - 1
+        }
+        assert found == {GridPoint(*u) for u in expected(off)}, off
+        assert all(classify_n18(canonicalize(u, ORIGIN)) is not excluded for u in found), off
+
+
+def test_halfcase_predecessors_are_the_ones_the_certificates_sum_over():
+    # the certificates' predecessors whose factor is not 0, none in the max case
+    _check_n18_predecessors(
+        keep=lambda i, j, k: i <= j + k + 1,
+        pattern=_halfcase_pattern,
+        steps=lambda off: (sum(off) + 1) // 2,
+        expected=lambda off: [u for u, factor in _halfcase_predecessor_factors(off) if factor != 0],
+        excluded=N18Case.MAX_CASE,
+    )
+
+
+def _maxcase_predecessors(off):
+    # the step polynomial's certificate sums c_(i-1)(j - dy, k - dz) over its
+    # five moves, all with dx = 1; that coefficient of (1 + y + 1/y + z + 1/z)^(i-1)
+    # is not 0 iff |j - dy| + |k - dz| <= i - 1
+    i, j, k = off
+    for dy, dz in ((0, 0), (1, 0), (-1, 0), (0, 1), (0, -1)):
+        if abs(j - dy) + abs(k - dz) <= i - 1:
+            yield i - 1, j - dy, k - dz
+
+
+def _maxcase_pattern(off):
+    # t - m is a predecessor iff |j - dy| + |k - dz| <= i - 1; x then stays its
+    # largest coordinate, so its case too depends on i - 1 - |j - dy| - |k - dz|:
+    # on the slack i - j - k only up to 3, and on whether j or k is 0.  The
+    # ties j = k and i = j, where canonicalize permutes, complete the pattern;
+    # each of its 15 values shows at i <= 6
+    i, j, k = off
+    return (min(i - j - k, 3), j == 0, k == 0, j == k, i == j)
+
+
+def test_maxcase_predecessors_are_the_ones_the_step_polynomial_sums_over():
+    # every predecessor of a max-case or overlap point is one step back along a
+    # move with dx = 1 (a move with dx <= 0 keeps |x| >= i), none in the half case
+    _check_n18_predecessors(
+        keep=lambda i, j, k: i >= j + k,
+        pattern=_maxcase_pattern,
+        steps=lambda off: off.i,
+        expected=_maxcase_predecessors,
+        excluded=N18Case.HALF_CASE,
+    )
 
 
 # ------------------------------------------- N6 and overlap certificates
@@ -748,6 +783,52 @@ def test_every_entry_refuses_what_is_not_a_neighborhood(entry, neighborhood):
     assert str(refused.value) == f"unknown neighborhood: {neighborhood!r}"
 
 
+# each entry above that takes another parameter, that parameter given a wrong
+# value type or a negative size as well, and the refusal that comes first
+_TWO_FAULTS = {
+    "distance": (
+        lambda n: distance((3, 2, 1), ORIGIN, n),
+        TypeError("p must be GridPoint: (3, 2, 1)"),
+    ),
+    "count_paths": (
+        lambda n: count_paths(GridPoint(3, 2, 1), n),
+        TypeError("off must be CanonicalOffset: GridPoint(x=3, y=2, z=1)"),
+    ),
+    "oracle_count": (
+        lambda n: oracle_count((3, 2, 1), n),
+        TypeError("target must be GridPoint: (3, 2, 1)"),
+    ),
+    "iter_shortest_paths": (
+        lambda n: next(iter_shortest_paths((3, 2, 1), n)),
+        TypeError("target must be GridPoint: (3, 2, 1)"),
+    ),
+    "enumerate_shortest_paths": (
+        lambda n: enumerate_shortest_paths((3, 2, 1), n),
+        TypeError("target must be GridPoint: (3, 2, 1)"),
+    ),
+    "shell_table": (
+        lambda n: shell_table(n, -1),
+        ValueError("length must be nonnegative, got -1"),
+    ),
+    "verify_region": (
+        lambda n: verify_region(-1, n),
+        ValueError("extent must be nonnegative, got -1"),
+    ),
+}
+
+
+@pytest.mark.parametrize("neighborhood", [6, "18", None, [18]])
+@pytest.mark.parametrize(
+    "entry",
+    [e for e in _NEIGHBORHOOD_ENTRIES if e not in ("admissible_moves", "displacement_metric")],
+)
+def test_a_wrong_type_or_size_is_refused_before_the_neighborhood(entry, neighborhood):
+    call, first = _TWO_FAULTS[entry]
+    with pytest.raises(type(first)) as refused:
+        call(neighborhood)
+    assert str(refused.value) == str(first)
+
+
 # every value-type parameter of a public entry or kernel: its type, a call with a valid rest
 _VALUE_PARAMETERS = {
     "distance(p)": (GridPoint, lambda v: distance(v, ORIGIN, Neighborhood.N6)),
@@ -871,19 +952,19 @@ _FAR_TARGETS = [
 ]
 
 
+_RECURRENCE_TARGETS = [
+    (240, 10, 5),  # N18 max case
+    (241, 10, 5),  # its predecessors include the N18 max case at i = 240
+    (400, 399, 398),  # N18 half case
+    (201, 100, 100),  # N18 overlap, i == j + k + 1
+    (300, 150, 75),
+    (1000, 500, 250),
+    *_FAR_TARGETS,
+]
+
+
 @pytest.mark.parametrize("neighborhood", list(Neighborhood))
-@pytest.mark.parametrize(
-    "triple",
-    [
-        (240, 10, 5),  # N18 max case
-        (241, 10, 5),  # its predecessors include the N18 max case at i = 240
-        (400, 399, 398),  # N18 half case
-        (201, 100, 100),  # N18 overlap, i == j + k + 1
-        (300, 150, 75),
-        (1000, 500, 250),
-        *_FAR_TARGETS,
-    ],
-)
+@pytest.mark.parametrize("triple", _RECURRENCE_TARGETS)
 def test_count_is_the_sum_over_geodesic_predecessors(triple, neighborhood):
     # Both sides come from the formulas, at sizes the oracle cannot reach;
     # the identity is linear, so a formula off by a constant factor passes.
@@ -1054,76 +1135,132 @@ def _n18_case(off, n, case):
 
 
 # value faults past the oracle's reach (i >= 100): where its predicate holds,
-# count_paths answers with the perturbed value.  Nine of them (the first seven,
-# and those at i == j + k + 2 and i == j + k - 1) pass every other test of the
-# suite; only the recurrence's few points catch the rest.  Swapping j and k is
-# no fault, since every count is symmetric in the three coordinates.
+# count_paths answers with the perturbed value.  The third column is the set
+# of far-field checks that catch it: the pins, the recurrence at its targets
+# past the oracle's reach, and the cut at the axis (110, 0, 0).  Swapping j and
+# k is no fault, since every count is symmetric in the three coordinates.
 _VALUE_MUTANTS = {
-    "N18 x2 for i >= 100": (lambda off, n: n is Neighborhood.N18 and off.i >= 100, _doubled),
-    "N26 x2 for i >= 250": (lambda off, n: n is Neighborhood.N26 and off.i >= 250, _doubled),
+    "N18 x2 for i >= 100": (
+        lambda off, n: n is Neighborhood.N18 and off.i >= 100,
+        _doubled,
+        {"pins", "cut"},
+    ),
+    "N26 x2 for i >= 250": (
+        lambda off, n: n is Neighborhood.N26 and off.i >= 250,
+        _doubled,
+        {"pins"},
+    ),
     "N6 +1 at coordinate sum 500": (
         lambda off, n: n is Neighborhood.N6 and sum(off) == 500,
         _plus_one,
+        {"pins"},
     ),
-    "N6 +1 on the axis": (lambda off, n: n is Neighborhood.N6 and off.j == 0, _plus_one),
-    "N26 +1 on the axis": (lambda off, n: n is Neighborhood.N26 and off.j == 0, _plus_one),
+    "N6 +1 on the axis": (
+        lambda off, n: n is Neighborhood.N6 and off.j == 0,
+        _plus_one,
+        {"pins", "cut"},
+    ),
+    "N26 +1 on the axis": (
+        lambda off, n: n is Neighborhood.N26 and off.j == 0,
+        _plus_one,
+        {"pins", "cut"},
+    ),
     "N18 x2 on the spatial diagonal": (
         lambda off, n: n is Neighborhood.N18 and off.i == off.k,
         _doubled,
+        {"pins"},
     ),
     "N6 +1 on the planar diagonal": (
         lambda off, n: n is Neighborhood.N6 and off.i == off.j and off.k == 0,
         _plus_one,
+        {"pins"},
     ),
     "N18 max case +1 at odd coordinate sum": (
         lambda off, n: _n18_case(off, n, N18Case.MAX_CASE) and sum(off) % 2 == 1,
         _plus_one,
+        {"pins", "recurrence"},
     ),
     "N18 max case x2 at even coordinate sum": (
         lambda off, n: _n18_case(off, n, N18Case.MAX_CASE) and sum(off) % 2 == 0,
         _doubled,
+        {"pins", "recurrence", "cut"},
     ),
     "N18 half case +1 at even coordinate sum": (
         lambda off, n: _n18_case(off, n, N18Case.HALF_CASE) and sum(off) % 2 == 0,
         _plus_one,
+        {"pins", "recurrence"},
     ),
     "N18 half case x2 at odd coordinate sum": (
         lambda off, n: _n18_case(off, n, N18Case.HALF_CASE) and sum(off) % 2 == 1,
         _doubled,
+        {"pins", "recurrence"},
     ),
     "N18 +1 at i == j + k + 2": (
         lambda off, n: n is Neighborhood.N18 and off.i == off.j + off.k + 2,
         _plus_one,
+        {"pins"},
     ),
     "N18 +1 at i == j + k + 1": (
         lambda off, n: n is Neighborhood.N18 and off.i == off.j + off.k + 1,
         _plus_one,
+        {"pins", "recurrence"},
     ),
     "N18 x2 at i == j + k": (
         lambda off, n: n is Neighborhood.N18 and off.i == off.j + off.k,
         _doubled,
+        {"pins", "recurrence"},
     ),
     "N18 +1 at i == j + k - 1": (
         lambda off, n: n is Neighborhood.N18 and off.i == off.j + off.k - 1,
         _plus_one,
+        {"pins"},
     ),
     "N26 neighbouring offset at j == k": (
         lambda off, n: n is Neighborhood.N26 and off.j == off.k,
         _next_offset,
+        {"pins", "recurrence", "cut"},
     ),
 }
 
 
-@pytest.mark.parametrize("mutant", list(_VALUE_MUTANTS))
-def test_the_far_field_pins_catch_every_value_mutant(mutant, monkeypatch):
-    applies, perturbed = _VALUE_MUTANTS[mutant]
+def _mutated_count(mutant):
+    applies, perturbed, _ = _VALUE_MUTANTS[mutant]
 
     def mutated(off, neighborhood):
         if off.i >= 100 and applies(off, neighborhood):
             return perturbed(off, neighborhood)
         return _exact_count(off, neighborhood)
 
+    return mutated
+
+
+@pytest.mark.parametrize("mutant", list(_VALUE_MUTANTS))
+def test_the_far_field_pins_catch_every_value_mutant(mutant, monkeypatch):
+    mutated = _mutated_count(mutant)
     monkeypatch.setattr(counting, "count_paths", mutated)
     monkeypatch.setattr(cli, "count_paths", mutated)
     assert _library_misses()
     assert _cli_misses()
+
+
+def test_which_far_field_checks_catch_each_value_mutant(monkeypatch):
+    # the recurrence misses a whole-region factor that the cut catches, the cut
+    # misses most faults away from its one target, and the pins, though blind
+    # to a formula wrong in itself, catch every value fault
+    far = [GridPoint(*t) for t in _RECURRENCE_TARGETS if max(map(abs, t)) >= 100]
+    axis = GridPoint(110, 0, 0)
+
+    def catches(check, count, v):
+        return any(count(canonicalize(v, ORIGIN), n) != check(v, n, count) for n in Neighborhood)
+
+    caught = {}
+    for mutant in _VALUE_MUTANTS:
+        mutated = _mutated_count(mutant)
+        monkeypatch.setattr(counting, "count_paths", mutated)
+        checks = {
+            "pins": bool(_library_misses()),
+            "recurrence": any(catches(_predecessor_sum, mutated, v) for v in far),
+            "cut": catches(_cut_sum, mutated, axis),
+        }
+        caught[mutant] = {check for check, hit in checks.items() if hit}
+    assert caught == {mutant: row[2] for mutant, row in _VALUE_MUTANTS.items()}
