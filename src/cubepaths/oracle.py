@@ -39,14 +39,15 @@ class PathList(NamedTuple):
 def oracle_count(target: GridPoint, neighborhood: Neighborhood) -> int:
     """Exact number of shortest origin-to-target paths, by layered DP.
 
-    Sweeps distance layers outward from the origin to the target at
-    distance d.  A point reached in ``step`` moves survives iff its
-    distance to the target equals the remainder ``d - step``.  That one
-    test suffices: every move has length 1, so the point is at most
-    ``step`` from the origin, and the triangle inequality
-    ``d <= dist(v) + (d - step)`` makes it at least ``step``, so the point
-    lies on some geodesic.  Its count is the sum over its surviving
-    predecessors.  The DP therefore touches O((2d+1)^3) points at worst.
+    Sweeps distance layers over the displacement still to go, from the
+    target at distance d down to zero.  The displacement w left after
+    ``step`` moves survives iff ``dist(w)`` equals the remainder
+    ``d - step``.  That one test suffices: every move has length 1, so the
+    point reached, p = target - w, is at most ``step`` from the origin, and
+    the triangle inequality ``d <= dist(p) + (d - step)`` makes it at least
+    ``step``, so p lies on some geodesic.  Its count is the sum over its
+    surviving predecessors.  The DP therefore touches O((2d+1)^3) points
+    at worst.
     """
     check_type("target", target, GridPoint)
     dist = displacement_metric(neighborhood)  # refuses what is not a Neighborhood
@@ -70,20 +71,18 @@ def _layered_count(
     steps: tuple[tuple[MoveStep, int, int, int], ...],
     dist: Callable[[int, int, int], int],
 ) -> int:
-    tx, ty, tz = target
-    total = dist(tx, ty, tz)
-    layer: dict[tuple[int, int, int], int] = {(0, 0, 0): 1}
-    for step in range(1, total + 1):
-        remaining = total - step
+    # a layer maps each displacement still to go, w = target - position, to its ways
+    layer: dict[tuple[int, int, int], int] = {tuple(target): 1}
+    for remaining in reversed(range(dist(*target))):
         nxt: dict[tuple[int, int, int], int] = defaultdict(int)
-        for (ux, uy, uz), ways in layer.items():
+        for (wx, wy, wz), ways in layer.items():
             for _, dx, dy, dz in steps:
-                vx, vy, vz = ux + dx, uy + dy, uz + dz
-                if dist(tx - vx, ty - vy, tz - vz) == remaining:
+                vx, vy, vz = wx - dx, wy - dy, wz - dz
+                if dist(vx, vy, vz) == remaining:
                     nxt[(vx, vy, vz)] += ways
         layer = nxt
-    # the last layer is the target alone: the metric is 0 only there, a geodesic always exists
-    return layer[(tx, ty, tz)]
+    # the last layer is zero alone: the metric is 0 only there, a geodesic always exists
+    return layer[(0, 0, 0)]
 
 
 def iter_shortest_paths(
@@ -98,23 +97,22 @@ def iter_shortest_paths(
     check_type("target", target, GridPoint)
     dist = displacement_metric(neighborhood)  # refuses what is not a Neighborhood
     steps = _STEPS[neighborhood]
-    tx, ty, tz = target
-    total = dist(tx, ty, tz)
+    total = dist(*target)
     if total == 0:
         yield ()
         return
 
     def onward(
-        ux: int, uy: int, uz: int, remaining: int
+        wx: int, wy: int, wz: int, remaining: int
     ) -> Iterator[tuple[MoveStep, int, int, int]]:
-        # the steps out of u that stay on a geodesic, in lexicographic order
+        # the steps m that leave w - m one nearer zero in the metric, in lexicographic order
         for step, dx, dy, dz in steps:
-            vx, vy, vz = ux + dx, uy + dy, uz + dz
-            if dist(tx - vx, ty - vy, tz - vz) == remaining - 1:
+            vx, vy, vz = wx - dx, wy - dy, wz - dz
+            if dist(vx, vy, vz) == remaining - 1:
                 yield step, vx, vy, vz
 
     prefix: list[MoveStep] = []
-    stack = [onward(0, 0, 0, total)]
+    stack = [onward(*target, total)]
     while stack:
         for step, vx, vy, vz in stack[-1]:
             prefix.append(step)

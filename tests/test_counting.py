@@ -10,6 +10,7 @@ import importlib
 import importlib.util
 import io
 import math
+from collections import Counter
 from contextlib import redirect_stdout
 from math import factorial
 from pathlib import Path
@@ -396,6 +397,105 @@ def test_maxcase_predecessors_are_the_ones_the_step_polynomial_sums_over():
         expected=_maxcase_predecessors,
         excluded=N18Case.HALF_CASE,
     )
+
+
+# ------------------------- the kernels' docstring arguments, on the oracle's paths
+#
+# Each kernel's docstring sorts the shortest paths into groups and counts each
+# group.  These tests sort the formula-free oracle's listings the same way, on
+# the canonical box 0 <= k <= j <= i <= 5 (56 points, 26,106 paths); the
+# kernels give only group sizes.
+
+_LISTED = [CanonicalOffset(i, j, k) for i in range(6) for j in range(i + 1) for k in range(j + 1)]
+
+
+@functools.cache
+def _listing(off, neighborhood):
+    return tuple(iter_shortest_paths(GridPoint(*off), neighborhood))
+
+
+@functools.cache
+def _chessboard_paths(i, j):
+    # the full-connectivity paths to (i, j, 0) that stay in the z = 0 plane
+    paths = _listing(CanonicalOffset(i, j, 0), Neighborhood.N26)
+    return [p for p in paths if all(m.dz == 0 for m in p)]
+
+
+def _arrangements(n, parts):
+    # orderings of n steps of len(parts) kinds, parts[a] of kind a; none if a part is negative
+    return 0 if min(parts) < 0 else factorial(n) // math.prod(map(factorial, parts))
+
+
+def test_chessboard_paths_group_by_falling_diagonals_as_count_n8_2d_sums():
+    for i, j, k in _LISTED:
+        if k:
+            continue
+        paths = _chessboard_paths(i, j)
+        assert len(paths) == oracle_count_2d(i, j)
+        assert all(m.dx == 1 for p in paths for m in p)
+        groups = Counter(sum(m.dy == -1 for m in p) for p in paths)
+        expected = {b: math.comb(i, b) * math.comb(i - b, j + b) for b in range((i - j) // 2 + 1)}
+        assert groups == expected, (i, j)
+        assert sum(groups.values()) == count_n8_2d(i, j)
+
+
+def test_maxcase_paths_group_by_falling_z_steps_as_the_dominant_sum_does():
+    for off in _LISTED:
+        i, j, k = off
+        if i < j + k:
+            continue
+        groups = Counter()
+        for p in _listing(off, Neighborhood.N18):
+            # a step that moves z moves x too, so the y-motion is all in the rest
+            assert all(m.dx == 1 and (m.dz == 0 or m.dy == 0) for m in p)
+            a = sum(m.dz == -1 for m in p)
+            assert sum(m.dz == 1 for m in p) == k + a
+            groups[a] += 1
+        expected = {
+            a: math.comb(i, a) * math.comb(i - a, k + a) * count_n8_2d(i - k - 2 * a, j)
+            for a in range((i - j - k) // 2 + 1)
+        }
+        assert groups == expected, off
+
+
+def test_halfcase_paths_have_the_step_mix_the_half_sum_counts():
+    for off in _LISTED:
+        i, j, k = off
+        if i > j + k + 1:
+            continue
+        L = (i + j + k + 1) // 2
+        paths = _listing(off, Neighborhood.N18)
+        assert all(min(m) >= 0 for p in paths for m in p), off
+        if (i + j + k) % 2 == 0:
+            # every step moves two coordinates; L - c of them leave coordinate c fixed
+            for p in paths:
+                assert all(sum(m) == 2 for m in p), off
+                assert [sum(m[a] == 0 for m in p) for a in range(3)] == [L - i, L - j, L - k]
+            assert len(paths) == _arrangements(L, (L - i, L - j, L - k)), off
+            continue
+        # one step moves one coordinate, along axis a; the other L - 1 move two
+        by_axis = [0, 0, 0]
+        for p in paths:
+            (single,) = [m for m in p if sum(m) == 1]
+            by_axis[single.as_tuple().index(1)] += 1
+        expected = [
+            _arrangements(L, (1, *(L - c - (b != a) for b, c in enumerate(off)))) for a in range(3)
+        ]
+        assert by_axis == expected, off
+        r = (L - i, L - j, L - k)
+        assert sum(by_axis) == _arrangements(L + 1, r) * _w(*r) // (L + 1), off
+
+
+def test_n26_paths_are_the_pairs_of_their_chessboard_projections():
+    for off in _LISTED:
+        i, j, k = off
+        xy = {tuple((m.dx, m.dy) for m in p) for p in _chessboard_paths(i, j)}
+        xz = {tuple((m.dx, m.dy) for m in p) for p in _chessboard_paths(i, k)}
+        paths = _listing(off, Neighborhood.N26)
+        image = {(tuple((m.dx, m.dy) for m in p), tuple((m.dx, m.dz) for m in p)) for p in paths}
+        assert all(a in xy and b in xz for a, b in image), off
+        # injective, and onto every pair: any two projections combine
+        assert len(image) == len(paths) == count_n8_2d(i, j) * count_n8_2d(i, k), off
 
 
 # ------------------------------------------- N6 and overlap certificates

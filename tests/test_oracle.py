@@ -8,7 +8,7 @@ beyond argument.
 
 import ast
 import inspect
-from itertools import product
+from itertools import permutations, product
 
 import pytest
 
@@ -205,6 +205,31 @@ def test_paths_are_sorted_distinct_and_valid():
                 sy = sum(step.dy for step in path)
                 sz = sum(step.dz for step in path)
                 assert (sx, sy, sz) == target
+
+
+def _plain(paths):
+    return [tuple(step.as_tuple() for step in path) for path in paths]
+
+
+def _signed_permutation(perm, signs, v):
+    return tuple(s * v[a] for s, a in zip(signs, perm))
+
+
+def test_the_walk_at_a_signed_permuted_target_is_the_sorted_image():
+    # the move sets are closed under the 48 signed axis permutations, so the
+    # listing at sigma(t) is the listing at t with sigma applied to every step,
+    # re-sorted; this holds the walk's sign handling at every signed target
+    sigmas = list(product(permutations(range(3)), product((1, -1), repeat=3)))
+    assert len(sigmas) == 48
+    for target in [(2, 1, 0), (2, 2, 1), (3, 2, 1)]:
+        for neighborhood in Neighborhood:
+            listing = _plain(iter_shortest_paths(GridPoint(*target), neighborhood))
+            for sigma in sigmas:
+                image = sorted(
+                    tuple(_signed_permutation(*sigma, step) for step in path) for path in listing
+                )
+                moved = GridPoint(*_signed_permutation(*sigma, target))
+                assert _plain(iter_shortest_paths(moved, neighborhood)) == image, sigma
 
 
 def test_the_searches_read_the_step_tables_built_at_import(monkeypatch):
