@@ -140,4 +140,13 @@ def canonicalize(p: GridPoint, q: GridPoint) -> CanonicalOffset:
     components sorted in descending order."""
     check_type("p", p, GridPoint)
     check_type("q", q, GridPoint)
-    return CanonicalOffset(*sorted(map(abs, p.displacement_from(q)), reverse=True))
+    a, b, c = p.displacement_from(q)
+    a, b, c = abs(a), abs(b), abs(c)
+    # a three-element sorting network, descending: at most three compares
+    if a < b:
+        a, b = b, a
+    if b < c:
+        b, c = c, b
+        if a < b:
+            a, b = b, a
+    return CanonicalOffset(a, b, c)

@@ -3,6 +3,7 @@
 import copy
 import pickle
 import re
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
@@ -44,6 +45,14 @@ def test_canonicalize_already_canonical():
 def test_canonicalize_round_trip(p, q):
     magnitudes = sorted((abs(c) for c in p.displacement_from(q)), reverse=True)
     assert canonicalize(p, q).as_triple() == tuple(magnitudes)
+
+
+def test_canonicalize_every_order_tie_and_sign_pattern():
+    # [-3, 3]^3 holds every order, tie and sign pattern of three components,
+    # so it takes every branch of the three-compare sort
+    for p in product(range(-3, 4), repeat=3):
+        expected = CanonicalOffset(*sorted(map(abs, p), reverse=True))
+        assert canonicalize(GridPoint(*p), ORIGIN) == expected
 
 
 @given(points, points)

@@ -696,10 +696,12 @@ def test_count_n18_values(triple, expected):
 
 
 def test_count_n18_formulas_respect_applicability():
-    with pytest.raises(ValueError):
-        count_n18_maxcase(CanonicalOffset(3, 2, 2))  # i < j + k
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="dominant-coordinate formula needs"):
+        count_n18_maxcase(CanonicalOffset(3, 2, 2))  # i == j + k - 1, first refused
+    with pytest.raises(ValueError, match="half-sum formula needs"):
         count_n18_halfcase(CanonicalOffset(5, 1, 1))  # i > j + k + 1
+    with pytest.raises(ValueError, match="half-sum formula needs"):
+        count_n18_halfcase(CanonicalOffset(4, 1, 1))  # i == j + k + 2, first refused
 
 
 @pytest.mark.parametrize(
@@ -807,6 +809,52 @@ def test_count_paths_dispatches():
     assert count_paths(off, Neighborhood.N6) == 60
     assert count_paths(off, Neighborhood.N18) == 3
     assert count_paths(off, Neighborhood.N26) == 18
+
+
+def _recording(seen, name, fn):
+    def recorded(*args):
+        seen.append(name)
+        return fn(*args)
+
+    return recorded
+
+
+@pytest.mark.parametrize(
+    "triple,neighborhood,check_overlap,calls",
+    [
+        ((3, 2, 1), Neighborhood.N6, False, ["count_n6"]),
+        ((3, 2, 1), Neighborhood.N26, False, ["count_n26", "count_n8_2d", "count_n8_2d"]),
+        ((5, 1, 1), Neighborhood.N18, False, ["classify_n18", "count_n18_maxcase"]),
+        ((3, 2, 2), Neighborhood.N18, False, ["classify_n18", "count_n18_halfcase"]),
+        ((3, 2, 1), Neighborhood.N18, False, ["classify_n18", "count_n18_maxcase"]),
+        (
+            (3, 2, 1),
+            Neighborhood.N18,
+            True,
+            ["classify_n18", "count_n18_maxcase", "count_n18_halfcase"],
+        ),
+    ],
+)
+def test_count_paths_reaches_each_kernel_through_the_module_globals(
+    triple, neighborhood, check_overlap, calls, monkeypatch
+):
+    # the benchmark's tracer rebinds these names in `counting`; a dispatch
+    # holding its own references would hide the kernels from the trace, and
+    # the max case sums through the private _planar, never count_n8_2d
+    off = CanonicalOffset(*triple)
+    value = count_paths(off, neighborhood, check_overlap)
+    seen = []
+    for name in (
+        "count_n6",
+        "count_n8_2d",
+        "count_n26",
+        "count_n18_halfcase",
+        "count_n18_maxcase",
+        "classify_n18",
+    ):
+        monkeypatch.setattr(counting, name, _recording(seen, name, getattr(counting, name)))
+    assert count_paths(off, neighborhood, check_overlap) == value
+    assert seen == calls
 
 
 def test_the_package_exports_the_dispatcher_and_not_the_kernels_behind_it():
