@@ -9,6 +9,7 @@ import functools
 import importlib
 import importlib.util
 import io
+import json
 import math
 from collections import Counter
 from contextlib import redirect_stdout
@@ -16,6 +17,7 @@ from math import factorial
 from pathlib import Path
 
 import pytest
+import sympy
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -163,13 +165,18 @@ def test_maxcase_equals_single_sum_at_the_heaviest_benchmark_shapes(triple):
     assert count_n18_maxcase(CanonicalOffset(*triple)) == _single_sum_n18_maxcase(*triple)
 
 
-def _perfbench_reference():
-    # the benchmark's own references, which share no code with cubepaths
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "reference.py"
-    spec = importlib.util.spec_from_file_location("perfbench_reference", path)
+def _module_at(relative, name):
+    # a script outside the package, loaded from its file
+    path = Path(__file__).resolve().parents[1] / relative
+    spec = importlib.util.spec_from_file_location(name, path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def _perfbench_reference():
+    # the benchmark's own references, which share no code with cubepaths
+    return _module_at("perfbench/reference.py", "perfbench_reference")
 
 
 @pytest.mark.parametrize("triple", [(2000, 0, 0), (4000, 2000, 1000)])
@@ -184,7 +191,6 @@ def test_single_sum_term_ratio_certificate():
     # t(m) = C(i, m) C(m, a) C(m, b) with a = (m + j + k)/2, b = (m + j - k)/2;
     # m -> m + 2 moves a and b up by one, so each term follows from the
     # previous one by one multiplication and one exact division
-    sympy = pytest.importorskip("sympy")
     i, m, a, b = sympy.symbols("i m a b")
     binomial = sympy.binomial
     term = binomial(i, m) * binomial(m, a) * binomial(m, b)
@@ -224,7 +230,6 @@ def test_planar_recurrence_equals_the_modular_direct_sum_far_beyond_oracle_reach
 
 
 def test_planar_recurrence_certificate():
-    sympy = pytest.importorskip("sympy")
     n, x = sympy.symbols("n x")
     p = (1 + x + x**2) ** n
     assert sympy.simplify(sympy.diff(p, x) * (1 + x + x**2) - n * (1 + 2 * x) * p) == 0
@@ -247,29 +252,28 @@ def _w(a, b, c):
     return a * b + b * c + c * a
 
 
-def _halfcase_in_r(sympy, a, b, c, odd):
+def _halfcase_in_r(a, b, c, odd):
     f = sympy.factorial
     if odd:
         return f(a + b + c - 1) * _w(a, b, c) / (f(a) * f(b) * f(c))
     return f(a + b + c) / (f(a) * f(b) * f(c))
 
 
-def _reduced_terms(sympy, r, odd, predecessors):
+def _reduced_terms(r, odd, predecessors):
     # each count over (L - 1)! / (r_i! r_j! r_k!), the target's own first
     ri, rj, rk = r
     f = sympy.factorial
     scale = f(sum(r) - (2 if odd else 1)) / (f(ri) * f(rj) * f(rk))
-    counts = [_halfcase_in_r(sympy, ri, rj, rk, odd)]
-    counts += [_halfcase_in_r(sympy, *shifted, parity) for shifted, parity in predecessors]
+    counts = [_halfcase_in_r(ri, rj, rk, odd)]
+    counts += [_halfcase_in_r(*shifted, parity) for shifted, parity in predecessors]
     return [sympy.factor(sympy.combsimp(count / scale)) for count in counts]
 
 
 def test_halfcase_even_sum_certificate():
     # the three pair predecessors give r_k/L + r_j/L + r_i/L = 1
-    sympy = pytest.importorskip("sympy")
     r = ri, rj, rk = sympy.symbols("r_i r_j r_k", positive=True, integer=True)
     pairs = [((ri, rj, rk - 1), False), ((ri, rj - 1, rk), False), ((ri - 1, rj, rk), False)]
-    own, *terms = _reduced_terms(sympy, r, False, pairs)
+    own, *terms = _reduced_terms(r, False, pairs)
     assert [sympy.expand(t) for t in (own, *terms)] == [ri + rj + rk, rk, rj, ri]
     assert sympy.simplify(rk / own + rj / own + ri / own) == 1
 
@@ -277,7 +281,6 @@ def test_halfcase_even_sum_certificate():
 def test_halfcase_odd_sum_certificate():
     # the pair predecessors give r_k w(r_i, r_j, r_k - 1) and its two images,
     # the single-axis ones r_j r_k, r_i r_k and r_i r_j; they sum to L w(r)
-    sympy = pytest.importorskip("sympy")
     r = ri, rj, rk = sympy.symbols("r_i r_j r_k", positive=True, integer=True)
     pairs = [((ri, rj, rk - 1), True), ((ri, rj - 1, rk), True), ((ri - 1, rj, rk), True)]
     singles = [
@@ -285,7 +288,7 @@ def test_halfcase_odd_sum_certificate():
         ((ri - 1, rj, rk - 1), False),
         ((ri - 1, rj - 1, rk), False),
     ]
-    own, *terms = _reduced_terms(sympy, r, True, pairs + singles)
+    own, *terms = _reduced_terms(r, True, pairs + singles)
     L = ri + rj + rk - 1
     expected = [
         rk * _w(ri, rj, rk - 1),
@@ -505,7 +508,6 @@ def test_n6_pascal_certificate():
     # a face path ends with one of three unit steps, so the multinomial
     # (i + j + k)! / (i! j! k!) is the sum of its three predecessors'; each
     # quotient is i / (i + j + k) or an image, 0 where that predecessor is absent
-    sympy = pytest.importorskip("sympy")
     i, j, k = sympy.symbols("i j k", positive=True, integer=True)
     f = sympy.factorial
 
@@ -522,7 +524,6 @@ def test_overlap_certificate():
     # at i = j + k + s with s = 0 or 1 the max-case double sum keeps the one
     # term a = b = 0, and the half case has r = (0, k, j) or (0, k + 1, j + 1);
     # both are C(j + k, k) at s = 0 and (j + k + 1)! / (j! k!) at s = 1
-    sympy = pytest.importorskip("sympy")
     j, k, a, b, s = sympy.symbols("j k a b s", nonnegative=True, integer=True)
     f = sympy.factorial
     i = j + k + s
@@ -532,7 +533,7 @@ def test_overlap_certificate():
         (1, (0, k + 1, j + 1), f(j + k + 1) / (f(j) * f(k))),
     ):
         maxcase = term.subs({a: 0, b: 0, s: slack})
-        halfcase = _halfcase_in_r(sympy, *r, odd=slack == 1)
+        halfcase = _halfcase_in_r(*r, odd=slack == 1)
         assert sympy.combsimp(maxcase / common) == 1
         assert sympy.combsimp(halfcase / common) == 1
 
@@ -553,7 +554,7 @@ def test_overlap_certificate():
 _SWEEP_TOP = 20
 
 
-def _powers(sympy, step, gens):
+def _powers(step, gens):
     # step^0, step^1, ... as polynomials, each the previous one times step
     power, step = sympy.Poly(1, *gens), sympy.Poly(step, *gens)
     for n in range(_SWEEP_TOP + 1):
@@ -561,29 +562,27 @@ def _powers(sympy, step, gens):
         power = power * step
 
 
-def _grows_by_one_step(sympy, power, step):
+def _grows_by_one_step(power, step):
     n = sympy.symbols("n", integer=True, positive=True)
     return sympy.simplify(power(n) - power(n - 1) * step) == 0
 
 
 def test_planar_step_polynomial_certificate():
-    sympy = pytest.importorskip("sympy")
     x = sympy.symbols("x")
     step = 1 + x + x**2
-    assert _grows_by_one_step(sympy, lambda n: step**n, step)
-    for n, power in _powers(sympy, step, [x]):
+    assert _grows_by_one_step(lambda n: step**n, step)
+    for n, power in _powers(step, [x]):
         for j in range(n + 1):
             assert count_n8_2d(n, j) == power.nth(n + j), (n, j)
 
 
 def test_n26_step_polynomial_certificate():
-    sympy = pytest.importorskip("sympy")
     y, z = sympy.symbols("y z")
     in_y, in_z = 1 + y + y**2, 1 + z + z**2
     n = sympy.symbols("n", integer=True, positive=True)
     assert sympy.simplify((in_y * in_z) ** n - in_y**n * in_z**n) == 0
-    assert _grows_by_one_step(sympy, lambda n: in_y**n * in_z**n, in_y * in_z)
-    for i, power in _powers(sympy, in_y * in_z, [y, z]):
+    assert _grows_by_one_step(lambda n: in_y**n * in_z**n, in_y * in_z)
+    for i, power in _powers(in_y * in_z, [y, z]):
         for j in range(i + 1):
             for k in range(j + 1):
                 off = CanonicalOffset(i, j, k)
@@ -591,11 +590,10 @@ def test_n26_step_polynomial_certificate():
 
 
 def test_maxcase_step_polynomial_certificate():
-    sympy = pytest.importorskip("sympy")
     y, z = sympy.symbols("y z")
     step = 1 + y + 1 / y + z + 1 / z
-    assert _grows_by_one_step(sympy, lambda n: step**n, step)
-    for i, power in _powers(sympy, sympy.expand(y * z * step), [y, z]):
+    assert _grows_by_one_step(lambda n: step**n, step)
+    for i, power in _powers(sympy.expand(y * z * step), [y, z]):
         for j in range(i + 1):
             for k in range(min(j, i - j) + 1):
                 off = CanonicalOffset(i, j, k)
@@ -1261,6 +1259,53 @@ def test_cli_count_equals_the_modular_reference_in_the_far_field():
     assert _cli_misses() == []
 
 
+# ------------------------------------------------- far-field oracle anchors
+#
+# Exact values the oracle computed once, offline, at dominant coordinates of
+# 100 to 250 (tests/oracle_anchors.py).  They are the one far-field check that
+# shares nothing with the formulas.
+
+_ANCHORS = json.loads(
+    (Path(__file__).parent / "data" / "oracle_anchors.json").read_text(encoding="utf-8")
+)["anchors"]
+
+
+def _anchor_misses() -> list:
+    # looks count_paths up in counting at call time, so a wrapper set there counts
+    misses = []
+    for anchor in _ANCHORS:
+        off = canonicalize(GridPoint(*anchor["target"]), ORIGIN)
+        n = Neighborhood(anchor["neighborhood"])
+        if counting.count_paths(off, n) != int(anchor["count"]):
+            misses.append((n.value, anchor["target"]))
+    return misses
+
+
+def test_count_paths_equals_the_oracle_anchors():
+    assert _anchor_misses() == []
+
+
+def test_cli_count_equals_the_oracle_anchors():
+    # every anchor target as `cubepaths count --to x,y,z -n all` reads it,
+    # the signed, permuted one among them
+    expected = {}
+    for anchor in _ANCHORS:
+        counts = expected.setdefault(tuple(anchor["target"]), {})
+        counts[str(anchor["neighborhood"])] = anchor["count"]
+    for target, counts in expected.items():
+        out = io.StringIO()
+        with redirect_stdout(out):
+            assert cli.run(["count", "--to", ",".join(map(str, target)), "-n", "all"]) == 0
+        printed = dict(line.split("\t") for line in out.getvalue().splitlines())
+        assert {n: printed[n] for n in counts} == counts, target
+
+
+def test_the_anchor_file_lists_the_script_targets_in_order():
+    # editing the script's list without regenerating the file fails here
+    script = _module_at("tests/oracle_anchors.py", "oracle_anchors")
+    assert [(a["neighborhood"], tuple(a["target"])) for a in _ANCHORS] == script.ANCHORS
+
+
 _exact_count = functools.cache(count_paths)
 
 
@@ -1284,89 +1329,90 @@ def _n18_case(off, n, case):
 
 # value faults past the oracle's reach (i >= 100): where its predicate holds,
 # count_paths answers with the perturbed value.  The third column is the set
-# of far-field checks that catch it: the pins, the recurrence at its targets
-# past the oracle's reach, and the cut at the axis (110, 0, 0).  Swapping j and
+# of far-field checks that catch it: the oracle anchors, the pins, the
+# recurrence at its targets past the oracle's reach, and the cut at the axis
+# (110, 0, 0).  Every predicate holds at one anchor at least.  Swapping j and
 # k is no fault, since every count is symmetric in the three coordinates.
 _VALUE_MUTANTS = {
     "N18 x2 for i >= 100": (
         lambda off, n: n is Neighborhood.N18 and off.i >= 100,
         _doubled,
-        {"pins", "cut"},
+        {"anchors", "pins", "cut"},
     ),
     "N26 x2 for i >= 250": (
         lambda off, n: n is Neighborhood.N26 and off.i >= 250,
         _doubled,
-        {"pins"},
+        {"anchors", "pins"},
     ),
     "N6 +1 at coordinate sum 500": (
         lambda off, n: n is Neighborhood.N6 and sum(off) == 500,
         _plus_one,
-        {"pins"},
+        {"anchors", "pins"},
     ),
     "N6 +1 on the axis": (
         lambda off, n: n is Neighborhood.N6 and off.j == 0,
         _plus_one,
-        {"pins", "cut"},
+        {"anchors", "pins", "cut"},
     ),
     "N26 +1 on the axis": (
         lambda off, n: n is Neighborhood.N26 and off.j == 0,
         _plus_one,
-        {"pins", "cut"},
+        {"anchors", "pins", "cut"},
     ),
     "N18 x2 on the spatial diagonal": (
         lambda off, n: n is Neighborhood.N18 and off.i == off.k,
         _doubled,
-        {"pins"},
+        {"anchors", "pins"},
     ),
     "N6 +1 on the planar diagonal": (
         lambda off, n: n is Neighborhood.N6 and off.i == off.j and off.k == 0,
         _plus_one,
-        {"pins"},
+        {"anchors", "pins"},
     ),
     "N18 max case +1 at odd coordinate sum": (
         lambda off, n: _n18_case(off, n, N18Case.MAX_CASE) and sum(off) % 2 == 1,
         _plus_one,
-        {"pins", "recurrence"},
+        {"anchors", "pins", "recurrence"},
     ),
     "N18 max case x2 at even coordinate sum": (
         lambda off, n: _n18_case(off, n, N18Case.MAX_CASE) and sum(off) % 2 == 0,
         _doubled,
-        {"pins", "recurrence", "cut"},
+        {"anchors", "pins", "recurrence", "cut"},
     ),
     "N18 half case +1 at even coordinate sum": (
         lambda off, n: _n18_case(off, n, N18Case.HALF_CASE) and sum(off) % 2 == 0,
         _plus_one,
-        {"pins", "recurrence"},
+        {"anchors", "pins", "recurrence"},
     ),
     "N18 half case x2 at odd coordinate sum": (
         lambda off, n: _n18_case(off, n, N18Case.HALF_CASE) and sum(off) % 2 == 1,
         _doubled,
-        {"pins", "recurrence"},
+        {"anchors", "pins", "recurrence"},
     ),
     "N18 +1 at i == j + k + 2": (
         lambda off, n: n is Neighborhood.N18 and off.i == off.j + off.k + 2,
         _plus_one,
-        {"pins"},
+        {"anchors", "pins"},
     ),
     "N18 +1 at i == j + k + 1": (
         lambda off, n: n is Neighborhood.N18 and off.i == off.j + off.k + 1,
         _plus_one,
-        {"pins", "recurrence"},
+        {"anchors", "pins", "recurrence"},
     ),
     "N18 x2 at i == j + k": (
         lambda off, n: n is Neighborhood.N18 and off.i == off.j + off.k,
         _doubled,
-        {"pins", "recurrence"},
+        {"anchors", "pins", "recurrence"},
     ),
     "N18 +1 at i == j + k - 1": (
         lambda off, n: n is Neighborhood.N18 and off.i == off.j + off.k - 1,
         _plus_one,
-        {"pins"},
+        {"anchors", "pins"},
     ),
     "N26 neighbouring offset at j == k": (
         lambda off, n: n is Neighborhood.N26 and off.j == off.k,
         _next_offset,
-        {"pins", "recurrence", "cut"},
+        {"anchors", "pins", "recurrence", "cut"},
     ),
 }
 
@@ -1394,7 +1440,8 @@ def test_the_far_field_pins_catch_every_value_mutant(mutant, monkeypatch):
 def test_which_far_field_checks_catch_each_value_mutant(monkeypatch):
     # the recurrence misses a whole-region factor that the cut catches, the cut
     # misses most faults away from its one target, and the pins, though blind
-    # to a formula wrong in itself, catch every value fault
+    # to a formula wrong in itself, catch every value fault; so do the anchors,
+    # which share nothing with the formulas
     far = [GridPoint(*t) for t in _RECURRENCE_TARGETS if max(map(abs, t)) >= 100]
     axis = GridPoint(110, 0, 0)
 
@@ -1406,6 +1453,7 @@ def test_which_far_field_checks_catch_each_value_mutant(monkeypatch):
         mutated = _mutated_count(mutant)
         monkeypatch.setattr(counting, "count_paths", mutated)
         checks = {
+            "anchors": bool(_anchor_misses()),
             "pins": bool(_library_misses()),
             "recurrence": any(catches(_predecessor_sum, mutated, v) for v in far),
             "cut": catches(_cut_sum, mutated, axis),
