@@ -135,6 +135,10 @@ def test_criterion_5_planar_product_law():
 
 def test_criterion_6_structural_invariants():
     """Five randomized structural properties, >= 1000 cases each."""
+    # The last three loops check the N26 <= N18 <= N6 ordering, the N6 Pascal
+    # recurrence and the planar binomial. test_metrics.py and test_counting.py
+    # check the same three per module; a clean-up that deletes one copy as a
+    # duplicate must keep the other.
     cases = 1000
 
     all_perms = list(permutations(range(3)))

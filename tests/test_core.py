@@ -2,12 +2,11 @@
 
 import copy
 import pickle
+import random
 import re
 from itertools import product
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from cubepaths.core import (
     ORIGIN,
@@ -18,9 +17,6 @@ from cubepaths.core import (
     admissible_moves,
     canonicalize,
 )
-
-coords = st.integers(-50, 50)
-points = st.builds(GridPoint, coords, coords, coords)
 
 
 # ------------------------------------------------------------ canonicalize
@@ -41,31 +37,45 @@ def test_canonicalize_already_canonical():
     assert off.as_triple() == (9, 5, 4)
 
 
-@given(points, points)
-def test_canonicalize_round_trip(p, q):
-    magnitudes = sorted((abs(c) for c in p.displacement_from(q)), reverse=True)
-    assert canonicalize(p, q).as_triple() == tuple(magnitudes)
+def _sample_pairs(seed, bound, count=1000):
+    # a fixed-seed sample, so a failing pair is the same on every run
+    rng = random.Random(seed)
+    return [
+        tuple(GridPoint(*(rng.randint(-bound, bound) for _ in range(3))) for _ in range(2))
+        for _ in range(count)
+    ]
+
+
+def test_canonicalize_round_trip():
+    for p, q in _sample_pairs(20261020, 1000):
+        magnitudes = sorted((abs(c) for c in p.displacement_from(q)), reverse=True)
+        assert canonicalize(p, q).as_triple() == tuple(magnitudes), (p, q)
 
 
 def test_canonicalize_every_order_tie_and_sign_pattern():
     # [-3, 3]^3 holds every order, tie and sign pattern of three components,
-    # so it takes every branch of the three-compare sort
+    # so it takes every branch of the three-compare sort; from a signed,
+    # nonzero origin the same displacements give the same offsets
+    origin = GridPoint(50, -50, 7)
     for p in product(range(-3, 4), repeat=3):
         expected = CanonicalOffset(*sorted(map(abs, p), reverse=True))
         assert canonicalize(GridPoint(*p), ORIGIN) == expected
+        moved = GridPoint(origin.x + p[0], origin.y + p[1], origin.z + p[2])
+        assert canonicalize(moved, origin) == expected
 
 
-@given(points, points)
-def test_canonicalize_is_sorted_nonnegative(p, q):
-    off = canonicalize(p, q)
-    assert off.i >= off.j >= off.k >= 0
+def test_canonicalize_is_sorted_nonnegative():
+    for p, q in _sample_pairs(20261021, 50):
+        off = canonicalize(p, q)
+        assert off.i >= off.j >= off.k >= 0, (p, q)
 
 
-@given(st.integers(0, 30), st.integers(0, 30), st.integers(0, 30))
-def test_canonicalize_idempotent(a, b, c):
-    i, j, k = sorted((a, b, c), reverse=True)
-    again = canonicalize(GridPoint(i, j, k), ORIGIN)
-    assert again == CanonicalOffset(i, j, k)
+def test_canonicalize_idempotent():
+    # every sorted triple with components in 0..30
+    for i in range(31):
+        for j in range(i + 1):
+            for k in range(j + 1):
+                assert canonicalize(GridPoint(i, j, k), ORIGIN) == CanonicalOffset(i, j, k)
 
 
 def test_canonical_offset_rejects_unsorted():

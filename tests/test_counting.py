@@ -13,13 +13,12 @@ import json
 import math
 from collections import Counter
 from contextlib import redirect_stdout
+from itertools import product
 from math import factorial
 from pathlib import Path
 
 import pytest
 import sympy
-from hypothesis import given
-from hypothesis import strategies as st
 
 import cubepaths.counting as counting
 from cubepaths import cli
@@ -52,14 +51,6 @@ from cubepaths.oracle import (
 )
 from cubepaths.tables import CountTable, TableEntry, shell_table, slice_table_2d
 from cubepaths.verify import VerifyReport, verify_region
-
-
-@st.composite
-def canonical_offsets(draw, max_value=20):
-    i = draw(st.integers(0, max_value))
-    j = draw(st.integers(0, i))
-    k = draw(st.integers(0, j))
-    return CanonicalOffset(i, j, k)
 
 
 def _sorted_offset(a, b, c):
@@ -617,24 +608,27 @@ def test_count_n6_values(triple, expected):
     assert count_n6(CanonicalOffset(*triple)) == expected
 
 
-@given(canonical_offsets(max_value=60))
-def test_count_n6_is_the_factorial_quotient(off):
-    i, j, k = off.as_triple()
-    assert count_n6(off) == factorial(i + j + k) // (factorial(i) * factorial(j) * factorial(k))
+def test_count_n6_is_the_factorial_quotient():
+    # every canonical offset with i <= 60
+    for i in range(61):
+        for j in range(i + 1):
+            for k in range(j + 1):
+                quotient = factorial(i + j + k) // (factorial(i) * factorial(j) * factorial(k))
+                assert count_n6(CanonicalOffset(i, j, k)) == quotient, (i, j, k)
 
 
-@given(st.integers(1, 25), st.integers(1, 25), st.integers(1, 25))
-def test_count_n6_pascal_recurrence(i, j, k):
-    assert count_n6(_sorted_offset(i, j, k)) == (
-        count_n6(_sorted_offset(i - 1, j, k))
-        + count_n6(_sorted_offset(i, j - 1, k))
-        + count_n6(_sorted_offset(i, j, k - 1))
-    )
+def test_count_n6_pascal_recurrence():
+    for i, j, k in product(range(1, 26), repeat=3):
+        assert count_n6(_sorted_offset(i, j, k)) == (
+            count_n6(_sorted_offset(i - 1, j, k))
+            + count_n6(_sorted_offset(i, j - 1, k))
+            + count_n6(_sorted_offset(i, j, k - 1))
+        ), (i, j, k)
 
 
-@given(st.integers(0, 40), st.integers(0, 40))
-def test_count_n6_planar_case_is_binomial(i, j):
-    assert count_n6(_sorted_offset(i, j, 0)) == math.comb(i + j, i)
+def test_count_n6_planar_case_is_binomial():
+    for i, j in product(range(41), repeat=2):
+        assert count_n6(_sorted_offset(i, j, 0)) == math.comb(i + j, i), (i, j)
 
 
 # -------------------------------------------------------- planar chessboard
@@ -670,9 +664,9 @@ def test_count_n8_2d_diagonal_is_single_path():
 
 
 def test_count_n8_2d_rejects_unsorted_input():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^count_n8_2d needs i >= j >= 0, got \(2, 3\)$"):
         count_n8_2d(2, 3)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^count_n8_2d needs i >= j >= 0, got \(1, -1\)$"):
         count_n8_2d(1, -1)
 
 
@@ -725,24 +719,30 @@ def test_both_formulas_agree_where_both_apply():
                     assert count_n18_maxcase(off) == count_n18_halfcase(off), off
 
 
-@given(canonical_offsets(max_value=25))
-def test_count_n18_dispatch_matches_applicable_formula(off):
-    expected = (
-        count_n18_maxcase(off)
-        if classify_n18(off) is not N18Case.HALF_CASE
-        else count_n18_halfcase(off)
-    )
-    assert count_paths(off, Neighborhood.N18) == expected
-    assert count_paths(off, Neighborhood.N18, check_overlap=True) == expected
+def test_count_n18_dispatch_matches_applicable_formula():
+    for i in range(26):
+        for j in range(i + 1):
+            for k in range(j + 1):
+                off = CanonicalOffset(i, j, k)
+                expected = (
+                    count_n18_maxcase(off)
+                    if classify_n18(off) is not N18Case.HALF_CASE
+                    else count_n18_halfcase(off)
+                )
+                assert count_paths(off, Neighborhood.N18) == expected, off
+                assert count_paths(off, Neighborhood.N18, check_overlap=True) == expected, off
 
 
-@given(canonical_offsets(max_value=30))
-def test_halfcase_even_sum_is_a_multinomial(off):
-    i, j, k = off.as_triple()
-    if i <= j + k and (i + j + k) % 2 == 0:
-        steps = (i + j + k) // 2
-        parts = factorial(steps - i) * factorial(steps - j) * factorial(steps - k)
-        assert count_n18_halfcase(off) == factorial(steps) // parts
+def test_halfcase_even_sum_is_a_multinomial():
+    # every canonical offset with i <= 30 in the half case with an even sum
+    for i in range(31):
+        for j in range(i + 1):
+            for k in range(j + 1):
+                if i <= j + k and (i + j + k) % 2 == 0:
+                    steps = (i + j + k) // 2
+                    parts = factorial(steps - i) * factorial(steps - j) * factorial(steps - k)
+                    off = CanonicalOffset(i, j, k)
+                    assert count_n18_halfcase(off) == factorial(steps) // parts, off
 
 
 def test_nine_five_four_counts_to_126_under_both_formulas():
@@ -786,17 +786,20 @@ def test_count_n26_values(triple, expected):
     assert count_n26(CanonicalOffset(*triple)) == expected
 
 
-@given(canonical_offsets(max_value=25))
-def test_count_n26_is_planar_product(off):
-    assert count_n26(off) == count_n8_2d(off.i, off.j) * count_n8_2d(off.i, off.k)
+def test_count_n26_is_planar_product():
+    for i in range(26):
+        for j in range(i + 1):
+            for k in range(j + 1):
+                off = CanonicalOffset(i, j, k)
+                assert count_n26(off) == count_n8_2d(i, j) * count_n8_2d(i, k), off
 
 
-@given(st.integers(0, 25), st.integers(0, 25))
-def test_count_n26_diagonal_lock_is_perfect_square(i, j):
-    i, j = max(i, j), min(i, j)
-    value = count_n26(CanonicalOffset(i, j, j))
-    root = math.isqrt(value)
-    assert root * root == value
+def test_count_n26_diagonal_lock_is_perfect_square():
+    for i in range(26):
+        for j in range(i + 1):
+            value = count_n26(CanonicalOffset(i, j, j))
+            root = math.isqrt(value)
+            assert root * root == value, (i, j)
 
 
 # --------------------------------------------------------------- dispatch
@@ -1064,11 +1067,9 @@ def test_every_flag_parameter_refuses_what_is_not_exactly_bool(entry, value):
     assert str(refused.value) == f"{parameter} must be bool: {value!r}"
 
 
-@given(canonical_offsets(max_value=15))
-def test_richer_neighborhoods_at_zero_offset(off):
-    if off.as_triple() == (0, 0, 0):
-        for neighborhood in Neighborhood:
-            assert count_paths(off, neighborhood) == 1
+def test_richer_neighborhoods_at_zero_offset():
+    for neighborhood in Neighborhood:
+        assert count_paths(CanonicalOffset(0, 0, 0), neighborhood) == 1
 
 
 def test_counts_stay_exact_at_large_coordinates():

@@ -186,7 +186,7 @@ def test_enumerate_takes_a_limit_beyond_sys_maxsize():
 
 
 def test_enumerate_rejects_nonpositive_limit():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^limit must be positive, got 0$"):
         enumerate_shortest_paths(GridPoint(1, 0, 0), Neighborhood.N6, limit=0)
 
 

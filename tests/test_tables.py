@@ -146,7 +146,7 @@ def test_slice_table_values():
 
 
 def test_slice_table_rejects_negative_extent():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^max_i must be nonnegative, got -2$"):
         slice_table_2d(-2)
 
 
