@@ -11,7 +11,6 @@ import random
 import time
 from itertools import permutations
 
-from cubepaths.cli import run
 from cubepaths.core import (
     ORIGIN,
     CanonicalOffset,
@@ -32,15 +31,9 @@ from cubepaths.metrics import distance
 from cubepaths.oracle import enumerate_shortest_paths, oracle_count
 from cubepaths.tables import shell_table
 from cubepaths.verify import verify_region
+from helpers import canonical_triples, run_cli
 
 SEED = 20260814
-
-
-def _canonical_box(extent):
-    for i in range(extent + 1):
-        for j in range(i + 1):
-            for k in range(j + 1):
-                yield CanonicalOffset(i, j, k)
 
 
 def test_criterion_1_worked_values():
@@ -114,8 +107,8 @@ def test_criterion_5_planar_product_law():
     """Full-connectivity counts factor into the two planar chessboard
     counts, and the distance-3 shell is their outer-product table with
     perfect squares on its diagonal."""
-    for off in _canonical_box(12):
-        assert count_n26(off) == count_n8_2d(off.i, off.j) * count_n8_2d(off.i, off.k)
+    for i, j, k in canonical_triples(12):
+        assert count_n26(CanonicalOffset(i, j, k)) == count_n8_2d(i, j) * count_n8_2d(i, k)
 
     table = shell_table(Neighborhood.N26, 3)
     by_point = {entry.point.as_tuple(): entry.count for entry in table.entries}
@@ -201,8 +194,8 @@ def test_criterion_7_enumeration_consistency():
     admissible, of exact length, and lands on the target."""
     points = 0
     for neighborhood in Neighborhood:
-        for off in _canonical_box(3):
-            target = GridPoint(*off.as_triple())
+        for triple in canonical_triples(3):
+            off, target = CanonicalOffset(*triple), GridPoint(*triple)
             d = distance(ORIGIN, target, neighborhood)
             if d > 3:
                 continue
@@ -227,19 +220,16 @@ def test_criterion_7_enumeration_consistency():
     print(f"PASS: criterion 7 - enumeration matches counts at {points} point/neighborhood pairs")
 
 
-def test_criterion_8_cli_contract(capsys):
+def test_criterion_8_cli_contract():
     """The three documented invocations print exactly the documented output
     and exit codes."""
-    code = run(["count", "--from", "0,0,0", "--to", "0,3,0", "-n", "18"])
-    out = capsys.readouterr().out
+    code, out, _ = run_cli(["count", "--from", "0,0,0", "--to", "0,3,0", "-n", "18"])
     assert (code, out) == (0, "13\n")
 
-    code = run(["distance", "--from", "0,0,0", "--to", "7,4,2", "-n", "26"])
-    out = capsys.readouterr().out
+    code, out, _ = run_cli(["distance", "--from", "0,0,0", "--to", "7,4,2", "-n", "26"])
     assert (code, out) == (0, "7\n")
 
-    code = run(["verify", "--extent", "5", "-n", "all"])
-    out = capsys.readouterr().out
+    code, out, _ = run_cli(["verify", "--extent", "5", "-n", "all"])
     assert code == 0
     assert out.splitlines() == [
         "N6: checked 56 canonical points (extent 5), mismatches 0",

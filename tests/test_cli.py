@@ -6,11 +6,8 @@ import os
 import subprocess
 import sys
 from math import factorial
-from pathlib import Path
 
 import pytest
-
-import cubepaths
 
 from cubepaths import counting, verify
 from cubepaths.cli import EXIT_MISMATCH, EXIT_OK, EXIT_USAGE, run
@@ -18,80 +15,75 @@ from cubepaths.core import CanonicalOffset, GridPoint, Neighborhood
 from cubepaths.oracle import oracle_count
 from cubepaths.tables import decimal_string
 from cubepaths.verify import VerifyReport
+from helpers import canonical_triples, child_env, run_cli
 
 # a count far above CPython's 4300-digit int->str cap
 HUGE = 7**6000
 
 
-def invoke(capsys, *args):
-    code = run(list(args))
-    captured = capsys.readouterr()
-    return code, captured.out, captured.err
-
-
 # ---------------------------------------------------------------- distance
 
 
-def test_distance_single_neighborhood(capsys):
-    code, out, err = invoke(capsys, "distance", "--from", "0,0,0", "--to", "7,4,2", "-n", "26")
+def test_distance_single_neighborhood():
+    code, out, err = run_cli(["distance", "--from", "0,0,0", "--to", "7,4,2", "-n", "26"])
     assert (code, out, err) == (EXIT_OK, "7\n", "")
 
 
-def test_distance_all_neighborhoods(capsys):
-    code, out, err = invoke(capsys, "distance", "--to", "7,4,2", "-n", "all")
+def test_distance_all_neighborhoods():
+    code, out, err = run_cli(["distance", "--to", "7,4,2", "-n", "all"])
     assert code == EXIT_OK
     assert out == "6\t13\n18\t7\n26\t7\n"
 
 
-def test_distance_respects_from_point(capsys):
-    code, out, _ = invoke(capsys, "distance", "--from", "1,1,1", "--to", "3,3,3", "-n", "6")
+def test_distance_respects_from_point():
+    code, out, _ = run_cli(["distance", "--from", "1,1,1", "--to", "3,3,3", "-n", "6"])
     assert (code, out) == (EXIT_OK, "6\n")
 
 
 # ------------------------------------------------------------------- count
 
 
-def test_count_single_neighborhood(capsys):
-    code, out, err = invoke(capsys, "count", "--from", "0,0,0", "--to", "0,3,0", "-n", "18")
+def test_count_single_neighborhood():
+    code, out, err = run_cli(["count", "--from", "0,0,0", "--to", "0,3,0", "-n", "18"])
     assert (code, out, err) == (EXIT_OK, "13\n", "")
 
 
-def test_count_all_neighborhoods(capsys):
-    code, out, _ = invoke(capsys, "count", "--to", "1,-3,2", "-n", "all")
+def test_count_all_neighborhoods():
+    code, out, _ = run_cli(["count", "--to", "1,-3,2", "-n", "all"])
     assert code == EXIT_OK
     assert out == "6\t60\n18\t3\n26\t18\n"
 
 
-def test_count_default_origin(capsys):
-    code, out, _ = invoke(capsys, "count", "--to", "0,3,0", "-n", "18")
+def test_count_default_origin():
+    code, out, _ = run_cli(["count", "--to", "0,3,0", "-n", "18"])
     assert (code, out) == (EXIT_OK, "13\n")
 
 
-def test_count_handles_negative_and_translated_input(capsys):
-    code, out, _ = invoke(capsys, "count", "--from", "5,-1,2", "--to", "6,-4,4", "-n", "18")
+def test_count_handles_negative_and_translated_input():
+    code, out, _ = run_cli(["count", "--from", "5,-1,2", "--to", "6,-4,4", "-n", "18"])
     assert (code, out) == (EXIT_OK, "3\n")  # displacement (1,-3,2), same as 3,2,1
 
 
-def test_points_with_a_negative_first_component(capsys):
+def test_points_with_a_negative_first_component():
     # a separate word such as "-13,3,3" is the point, not an unknown option
-    code, out, err = invoke(capsys, "count", "--from", "-1,0,0", "--to", "-13,3,3", "-n", "18")
+    code, out, err = run_cli(["count", "--from", "-1,0,0", "--to", "-13,3,3", "-n", "18"])
     assert (code, out, err) == (EXIT_OK, "1247400\n", "")
     # and a malformed one such as "-1.5,0,0" gets the malformed-point message
-    code, out, err = invoke(capsys, "count", "--to", "-1.5,0,0", "-n", "18")
+    code, out, err = run_cli(["count", "--to", "-1.5,0,0", "-n", "18"])
     assert (code, out) == (EXIT_USAGE, "")
     assert "malformed point '-1.5,0,0': components must be integers" in err
 
 
 @pytest.mark.parametrize("token,expected", [("6", "6\n"), ("18", "6\n"), ("26", "1\n")])
-def test_each_neighborhood_token_selects_its_connectivity(capsys, token, expected):
+def test_each_neighborhood_token_selects_its_connectivity(token, expected):
     # (1,1,1): 3! orderings of unit steps under N6, one face and one edge
     # step in either order under N18, and the single corner step under N26
-    code, out, err = invoke(capsys, "count", "--to", "1,1,1", "-n", token)
+    code, out, err = run_cli(["count", "--to", "1,1,1", "-n", token])
     assert (code, out, err) == (EXIT_OK, expected, "")
 
 
-def test_count_beyond_the_int_to_str_cap(capsys):
-    code, out, err = invoke(capsys, "count", "--to", "6000,3000,1500", "-n", "6")
+def test_count_beyond_the_int_to_str_cap():
+    code, out, err = run_cli(["count", "--to", "6000,3000,1500", "-n", "6"])
     assert (code, err) == (EXIT_OK, "")
     assert len(out) == 4355 + 1
     trinomial = factorial(10500) // (factorial(6000) * factorial(3000) * factorial(1500))
@@ -101,17 +93,17 @@ def test_count_beyond_the_int_to_str_cap(capsys):
 # ------------------------------------------------------------------ oracle
 
 
-def test_oracle_agrees_with_count(capsys):
+def test_oracle_agrees_with_count():
     for target in ["2,2,1", "0,3,0", "3,-1,2"]:
         for token in ["6", "18", "26"]:
-            _, count_out, _ = invoke(capsys, "count", "--to", target, "-n", token)
-            code, oracle_out, _ = invoke(capsys, "oracle", "--to", target, "-n", token)
+            _, count_out, _ = run_cli(["count", "--to", target, "-n", token])
+            code, oracle_out, _ = run_cli(["oracle", "--to", target, "-n", token])
             assert code == EXIT_OK
             assert oracle_out == count_out
 
 
-def test_oracle_all(capsys):
-    code, out, _ = invoke(capsys, "oracle", "--to", "2,2,2", "-n", "all")
+def test_oracle_all():
+    code, out, _ = run_cli(["oracle", "--to", "2,2,2", "-n", "all"])
     assert code == EXIT_OK
     assert out == "6\t90\n18\t6\n26\t1\n"
 
@@ -119,13 +111,13 @@ def test_oracle_all(capsys):
 # ------------------------------------------------------------------- paths
 
 
-def test_paths_single_straight_path(capsys):
-    code, out, err = invoke(capsys, "paths", "--to", "2,0,0", "-n", "6")
+def test_paths_single_straight_path():
+    code, out, err = run_cli(["paths", "--to", "2,0,0", "-n", "6"])
     assert (code, out, err) == (EXIT_OK, "1,0,0 1,0,0\n", "")
 
 
-def test_paths_lists_all_shortest_paths_in_order(capsys):
-    code, out, err = invoke(capsys, "paths", "--to", "1,1,1", "-n", "18")
+def test_paths_lists_all_shortest_paths_in_order():
+    code, out, err = run_cli(["paths", "--to", "1,1,1", "-n", "18"])
     assert code == EXIT_OK and err == ""
     assert out.splitlines() == [
         "0,0,1 1,1,0",
@@ -137,22 +129,20 @@ def test_paths_lists_all_shortest_paths_in_order(capsys):
     ]
 
 
-def test_paths_truncation_notes_to_stderr(capsys):
-    code, out, err = invoke(capsys, "paths", "--to", "0,3,0", "-n", "18", "--limit", "5")
+def test_paths_truncation_notes_to_stderr():
+    code, out, err = run_cli(["paths", "--to", "0,3,0", "-n", "18", "--limit", "5"])
     assert code == EXIT_OK
     assert len(out.splitlines()) == 5
     assert "truncated at 5 paths" in err
 
 
-def test_paths_relative_to_from_point(capsys):
-    code, out, _ = invoke(capsys, "paths", "--from", "1,1,1", "--to", "3,1,1", "-n", "6")
+def test_paths_relative_to_from_point():
+    code, out, _ = run_cli(["paths", "--from", "1,1,1", "--to", "3,1,1", "-n", "6"])
     assert (code, out) == (EXIT_OK, "1,0,0 1,0,0\n")
 
 
-def test_paths_json_format(capsys):
-    code, out, _ = invoke(
-        capsys, "paths", "--to", "1,1,1", "-n", "18", "--format", "json"
-    )
+def test_paths_json_format():
+    code, out, _ = run_cli(["paths", "--to", "1,1,1", "-n", "18", "--format", "json"])
     assert code == EXIT_OK
     payload = json.loads(out)
     assert payload["target"] == [1, 1, 1]
@@ -163,16 +153,16 @@ def test_paths_json_format(capsys):
     assert payload["paths"][0] == [[0, 0, 1], [1, 1, 0]]
 
 
-def test_paths_rejects_nonpositive_limit(capsys):
-    code, out, err = invoke(capsys, "paths", "--to", "1,0,0", "-n", "6", "--limit", "0")
+def test_paths_rejects_nonpositive_limit():
+    code, out, err = run_cli(["paths", "--to", "1,0,0", "-n", "6", "--limit", "0"])
     assert code == EXIT_USAGE
     assert out == ""
     assert err == "cubepaths: error: --limit must be positive, got 0\n"
 
 
-def test_paths_takes_a_limit_beyond_sys_maxsize(capsys):
-    code, out, err = invoke(
-        capsys, "paths", "--to", "1,1,0", "-n", "18", "--limit", "99999999999999999999"
+def test_paths_takes_a_limit_beyond_sys_maxsize():
+    code, out, err = run_cli(
+        ["paths", "--to", "1,1,0", "-n", "18", "--limit", "99999999999999999999"]
     )
     assert (code, out, err) == (EXIT_OK, "1,1,0\n", "")
 
@@ -180,8 +170,8 @@ def test_paths_takes_a_limit_beyond_sys_maxsize(capsys):
 # ------------------------------------------------------------------ verify
 
 
-def test_verify_clean_box(capsys):
-    code, out, err = invoke(capsys, "verify", "--extent", "3")
+def test_verify_clean_box():
+    code, out, err = run_cli(["verify", "--extent", "3"])
     assert code == EXIT_OK and err == ""
     assert out.splitlines() == [
         "N6: checked 20 canonical points (extent 3), mismatches 0",
@@ -190,10 +180,8 @@ def test_verify_clean_box(capsys):
     ]
 
 
-def test_verify_single_neighborhood_json(capsys):
-    code, out, _ = invoke(
-        capsys, "verify", "--extent", "2", "-n", "18", "--format", "json"
-    )
+def test_verify_single_neighborhood_json():
+    code, out, _ = run_cli(["verify", "--extent", "2", "-n", "18", "--format", "json"])
     assert code == EXIT_OK
     payload = json.loads(out)
     assert payload == [
@@ -201,35 +189,35 @@ def test_verify_single_neighborhood_json(capsys):
     ]
 
 
-def test_verify_mismatch_exits_2(capsys, monkeypatch):
+def test_verify_mismatch_exits_2(monkeypatch):
     fake = VerifyReport(
         checked=4,
         mismatches=((GridPoint(1, 0, 0), 2, 1),),
     )
     monkeypatch.setattr("cubepaths.cli.verify_region", lambda extent, n: fake)
-    code, out, _ = invoke(capsys, "verify", "--extent", "1", "-n", "6")
+    code, out, _ = run_cli(["verify", "--extent", "1", "-n", "6"])
     assert code == EXIT_MISMATCH
     assert "mismatches 1" in out
     assert "MISMATCH at 1,0,0: formula=2 oracle=1" in out
 
 
-def test_verify_mismatch_beyond_the_int_to_str_cap(capsys, monkeypatch):
+def test_verify_mismatch_beyond_the_int_to_str_cap(monkeypatch):
     fake = VerifyReport(
         checked=4,
         mismatches=((GridPoint(1, 0, 0), HUGE, HUGE + 1),),
     )
     monkeypatch.setattr("cubepaths.cli.verify_region", lambda extent, n: fake)
-    code, out, _ = invoke(capsys, "verify", "--extent", "1", "-n", "6")
+    code, out, _ = run_cli(["verify", "--extent", "1", "-n", "6"])
     assert code == EXIT_MISMATCH
     formula, oracle = decimal_string(HUGE), decimal_string(HUGE + 1)
     assert f"MISMATCH at 1,0,0: formula={formula} oracle={oracle}" in out
-    code, out, _ = invoke(capsys, "verify", "--extent", "1", "-n", "6", "--format", "json")
+    code, out, _ = run_cli(["verify", "--extent", "1", "-n", "6", "--format", "json"])
     assert code == EXIT_MISMATCH
     (mismatch,) = json.loads(out)[0]["mismatches"]
     assert mismatch == {"point": [1, 0, 0], "formula": formula, "oracle": oracle}
 
 
-def test_the_real_sweep_finds_a_faulty_half_sum_kernel(capsys, monkeypatch):
+def test_the_real_sweep_finds_a_faulty_half_sum_kernel(monkeypatch):
     # both bindings: count_paths reaches the kernel through counting, and
     # the sweep's direct second formula on the overlap through verify
     true_halfcase = counting.count_n18_halfcase
@@ -237,31 +225,13 @@ def test_the_real_sweep_finds_a_faulty_half_sum_kernel(capsys, monkeypatch):
         monkeypatch.setattr(module, "count_n18_halfcase", lambda off: true_halfcase(off) + 1)
     report = verify.verify_region(3, Neighborhood.N18)
     # every point where the half sum applies: 7 half-case and 10 overlap points
-    halfsum_points = [
-        GridPoint(i, j, k)
-        for i in range(4)
-        for j in range(i + 1)
-        for k in range(j + 1)
-        if i <= j + k + 1
-    ]
+    halfsum_points = [GridPoint(i, j, k) for i, j, k in canonical_triples(3) if i <= j + k + 1]
     assert len(halfsum_points) == 17
     assert report.checked == 20
-    assert report.mismatches == tuple(
-        (point, oracle_count(point, Neighborhood.N18) + 1, oracle_count(point, Neighborhood.N18))
-        for point in halfsum_points
-    )
-    code, out, _ = invoke(capsys, "verify", "--extent", "3", "-n", "18")
+    assert report.mismatches == _off_by_one_report(halfsum_points)
+    code, out, _ = run_cli(["verify", "--extent", "3", "-n", "18"])
     assert code == EXIT_MISMATCH
     assert out.splitlines()[0] == "N18: checked 20 canonical points (extent 3), mismatches 17"
-
-
-def _canonical_points(extent):
-    return [
-        GridPoint(i, j, k)
-        for i in range(extent + 1)
-        for j in range(i + 1)
-        for k in range(j + 1)
-    ]
 
 
 def _off_by_one_report(points):
@@ -286,24 +256,26 @@ def test_the_real_sweep_checks_the_dispatcher_on_the_overlap(monkeypatch):
 
     monkeypatch.setattr(verify, "count_paths", faulty)
     report = verify.verify_region(5, Neighborhood.N18)
-    overlap_points = [p for p in _canonical_points(5) if p.y + p.z <= p.x <= p.y + p.z + 1]
+    overlap_points = [
+        GridPoint(i, j, k) for i, j, k in canonical_triples(5) if j + k <= i <= j + k + 1
+    ]
     assert len(overlap_points) == 21
     assert report.checked == 56
     assert report.mismatches == _off_by_one_report(overlap_points)
 
 
-def test_the_real_sweep_finds_a_faulty_dominant_coordinate_kernel(capsys, monkeypatch):
+def test_the_real_sweep_finds_a_faulty_dominant_coordinate_kernel(monkeypatch):
     # only counting's binding: the sweep reaches the kernel through count_paths
     true_maxcase = counting.count_n18_maxcase
     monkeypatch.setattr(counting, "count_n18_maxcase", lambda off: true_maxcase(off) + 1)
     report = verify.verify_region(3, Neighborhood.N18)
     # every point where the dominant-coordinate sum applies, each listed once:
     # 3 max-case and 10 overlap points
-    maxsum_points = [p for p in _canonical_points(3) if p.x >= p.y + p.z]
+    maxsum_points = [GridPoint(i, j, k) for i, j, k in canonical_triples(3) if i >= j + k]
     assert len(maxsum_points) == 13
     assert report.checked == 20
     assert report.mismatches == _off_by_one_report(maxsum_points)
-    code, out, _ = invoke(capsys, "verify", "--extent", "3", "-n", "18")
+    code, out, _ = run_cli(["verify", "--extent", "3", "-n", "18"])
     assert code == EXIT_MISMATCH
     assert out.splitlines()[0] == "N18: checked 20 canonical points (extent 3), mismatches 13"
 
@@ -324,7 +296,7 @@ def test_the_sweep_calls_count_paths_at_every_point(monkeypatch, neighborhood):
     monkeypatch.setattr(verify, "count_n18_halfcase", counted_halfcase)
     report = verify.verify_region(4, neighborhood)
     assert report.ok and report.checked == 35
-    assert offsets == _canonical_points(4)
+    assert offsets == [CanonicalOffset(*t) for t in canonical_triples(4)]
     if neighborhood is Neighborhood.N18:
         assert halfsum_offsets == [
             off for off in offsets if counting.classify_n18(off) is counting.N18Case.OVERLAP
@@ -343,8 +315,8 @@ def test_count_paths_takes_the_dominant_coordinate_sum_on_the_overlap(monkeypatc
         assert counting.count_paths(off, Neighborhood.N18) == "max"
 
 
-def test_verify_rejects_negative_extent(capsys):
-    code, _, err = invoke(capsys, "verify", "--extent", "-1")
+def test_verify_rejects_negative_extent():
+    code, _, err = run_cli(["verify", "--extent", "-1"])
     assert code == EXIT_USAGE
     assert "must be nonnegative" in err
 
@@ -352,18 +324,14 @@ def test_verify_rejects_negative_extent(capsys):
 # ------------------------------------------------------------------- table
 
 
-def test_table_csv_shell(capsys):
-    code, out, _ = invoke(
-        capsys, "table", "-n", "6", "--length", "2", "--format", "csv"
-    )
+def test_table_csv_shell():
+    code, out, _ = run_cli(["table", "-n", "6", "--length", "2", "--format", "csv"])
     assert code == EXIT_OK
     assert out == "i,j,k,distance,count\n1,1,0,2,2\n2,0,0,2,1\n"
 
 
-def test_table_json_shell(capsys):
-    code, out, _ = invoke(
-        capsys, "table", "-n", "18", "--length", "3", "--format", "json"
-    )
+def test_table_json_shell():
+    code, out, _ = run_cli(["table", "-n", "18", "--length", "3", "--format", "json"])
     assert code == EXIT_OK
     rows = json.loads(out)
     assert {tuple(row["point"]): row["count"] for row in rows} == {
@@ -378,24 +346,24 @@ def test_table_json_shell(capsys):
     }
 
 
-def test_table_text_default_format(capsys):
-    code, out, _ = invoke(capsys, "table", "-n", "26", "--length", "1")
+def test_table_text_default_format():
+    code, out, _ = run_cli(["table", "-n", "26", "--length", "1"])
     assert code == EXIT_OK
     lines = out.splitlines()
     assert lines[0].split() == ["i", "j", "k", "distance", "count"]
     assert len(lines) == 4  # header + (1,0,0), (1,1,0), (1,1,1)
 
 
-def test_table_expand_symmetry(capsys):
-    code, out, _ = invoke(
-        capsys, "table", "-n", "6", "--length", "1", "--expand-symmetry", "--format", "csv"
+def test_table_expand_symmetry():
+    code, out, _ = run_cli(
+        ["table", "-n", "6", "--length", "1", "--expand-symmetry", "--format", "csv"]
     )
     assert code == EXIT_OK
     assert len(out.splitlines()) == 7  # header + six unit neighbors
 
 
-def test_table_slice_2d(capsys):
-    code, out, _ = invoke(capsys, "table", "--slice-2d", "3", "--format", "csv")
+def test_table_slice_2d():
+    code, out, _ = run_cli(["table", "--slice-2d", "3", "--format", "csv"])
     assert code == EXIT_OK
     assert out.splitlines()[:4] == [
         "i,j,k,distance,count",
@@ -406,20 +374,20 @@ def test_table_slice_2d(capsys):
     assert out.splitlines()[-1] == "3,3,0,3,1"
 
 
-def test_table_slice_conflicts_with_shell_flags(capsys):
-    code, _, err = invoke(capsys, "table", "--slice-2d", "3", "-n", "6")
+def test_table_slice_conflicts_with_shell_flags():
+    code, _, err = run_cli(["table", "--slice-2d", "3", "-n", "6"])
     assert code == EXIT_USAGE
     assert "cannot be combined" in err
 
 
-def test_table_requires_neighborhood_and_length(capsys):
-    code, _, err = invoke(capsys, "table", "-n", "6")
+def test_table_requires_neighborhood_and_length():
+    code, _, err = run_cli(["table", "-n", "6"])
     assert code == EXIT_USAGE
     assert "requires -n and --length" in err
 
 
-def test_table_rejects_negative_length(capsys):
-    code, _, err = invoke(capsys, "table", "-n", "6", "--length", "-2")
+def test_table_rejects_negative_length():
+    code, _, err = run_cli(["table", "-n", "6", "--length", "-2"])
     assert code == EXIT_USAGE
     assert "nonnegative" in err
 
@@ -427,15 +395,15 @@ def test_table_rejects_negative_length(capsys):
 # ------------------------------------------------------------ usage errors
 
 
-def test_malformed_point(capsys):
-    code, out, err = invoke(capsys, "count", "--to", "badpoint", "-n", "6")
+def test_malformed_point():
+    code, out, err = run_cli(["count", "--to", "badpoint", "-n", "6"])
     assert code == EXIT_USAGE
     assert out == ""
     assert "malformed point 'badpoint': expected X,Y,Z" in err
 
 
-def test_noninteger_point_components(capsys):
-    code, _, err = invoke(capsys, "count", "--to", "1,2.5,0", "-n", "6")
+def test_noninteger_point_components():
+    code, _, err = run_cli(["count", "--to", "1,2.5,0", "-n", "6"])
     assert code == EXIT_USAGE
     assert "components must be integers" in err
 
@@ -444,9 +412,9 @@ def test_noninteger_point_components(capsys):
     not hasattr(sys, "get_int_max_str_digits"),
     reason="this interpreter has no digit cap on int parsing",
 )
-def test_oversized_point_component_names_the_digit_cap(capsys):
+def test_oversized_point_component_names_the_digit_cap():
     huge = "1" + "0" * 5000
-    code, out, err = invoke(capsys, "distance", "--to", f"{huge},0,0", "-n", "6")
+    code, out, err = run_cli(["distance", "--to", f"{huge},0,0", "-n", "6"])
     assert code == EXIT_USAGE
     assert out == ""
     assert f"components are limited to {sys.get_int_max_str_digits()} digits" in err
@@ -454,15 +422,15 @@ def test_oversized_point_component_names_the_digit_cap(capsys):
     assert huge not in err
 
 
-def test_unknown_neighborhood(capsys):
-    code, _, err = invoke(capsys, "count", "--to", "1,0,0", "-n", "99")
+def test_unknown_neighborhood():
+    code, _, err = run_cli(["count", "--to", "1,0,0", "-n", "99"])
     assert code == EXIT_USAGE
     assert "invalid choice" in err
 
 
-def test_invalid_neighborhood_token_is_worded_with_repr(capsys):
+def test_invalid_neighborhood_token_is_worded_with_repr():
     # the same wording on every supported Python, whatever its argparse prints
-    code, out, err = invoke(capsys, "count", "--to", "1,0,0", "-n", "six")
+    code, out, err = run_cli(["count", "--to", "1,0,0", "-n", "six"])
     assert (code, out) == (EXIT_USAGE, "")
     assert err == (
         "cubepaths: error: argument -n/--neighborhood: invalid choice: 'six' "
@@ -470,26 +438,26 @@ def test_invalid_neighborhood_token_is_worded_with_repr(capsys):
     )
 
 
-def test_missing_target(capsys):
-    code, _, err = invoke(capsys, "distance", "-n", "6")
+def test_missing_target():
+    code, _, err = run_cli(["distance", "-n", "6"])
     assert code == EXIT_USAGE
     assert "--to" in err
 
 
-def test_missing_subcommand(capsys):
-    code, _, err = invoke(capsys)
+def test_missing_subcommand():
+    code, _, err = run_cli([])
     assert code == EXIT_USAGE
     assert err.startswith("cubepaths: error:")
 
 
-def test_removed_bench_subcommand_is_a_usage_error(capsys):
-    code, out, err = invoke(capsys, "bench")
+def test_removed_bench_subcommand_is_a_usage_error():
+    code, out, err = run_cli(["bench"])
     assert (code, out) == (EXIT_USAGE, "")
     assert "invalid choice: 'bench'" in err
 
 
-def test_help_exits_zero(capsys):
-    code, out, _ = invoke(capsys, "--help")
+def test_help_exits_zero():
+    code, out, _ = run_cli(["--help"])
     assert code == EXIT_OK
     assert "COMMAND" in out
 
@@ -544,17 +512,13 @@ def test_run_writes_each_stream_at_most_once(monkeypatch, argv):
 # -------------------------------------------------------------- module run
 
 
-# run the package under test, wherever it was imported from
-SOURCE_ROOT = str(Path(cubepaths.__file__).resolve().parents[1])
-
-
 def _child(*args):
     return subprocess.run(
         [sys.executable, *args],
         capture_output=True,
         text=True,
         timeout=60,
-        env={**os.environ, "PYTHONPATH": SOURCE_ROOT},
+        env=child_env(),
     )
 
 
@@ -574,7 +538,7 @@ def test_a_reader_that_closes_the_pipe_early_ends_the_cli_quietly():
         stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,
         text=True,
-        env={**os.environ, "PYTHONPATH": SOURCE_ROOT},
+        env=child_env(),
     )
     first = proc.stdout.readline()
     proc.stdout.close()
@@ -589,10 +553,7 @@ def test_a_reader_that_closes_the_pipe_early_ends_the_cli_quietly():
 def test_the_truncation_note_follows_the_listing_on_a_shared_pipe(buffering):
     # stdout is block-buffered on a pipe unless PYTHONUNBUFFERED is set;
     # either way the note must not overtake the listing it is about
-    env = {**os.environ, "PYTHONPATH": SOURCE_ROOT}
-    env.pop("PYTHONUNBUFFERED", None)
-    if buffering == "unbuffered":
-        env["PYTHONUNBUFFERED"] = "1"
+    env = child_env(PYTHONUNBUFFERED="1" if buffering == "unbuffered" else None)
     proc = subprocess.run(
         [sys.executable, "-m", "cubepaths", *TRUNCATED_PATHS],
         stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True, timeout=60, env=env,
@@ -604,10 +565,7 @@ def test_the_truncation_note_follows_the_listing_on_a_shared_pipe(buffering):
 
 def _unwritable_stdout_child(sink, buffering, argv):
     command = [sys.executable, "-X", "dev", "-W", "error", "-m", "cubepaths", *argv]
-    env = {**os.environ, "PYTHONPATH": SOURCE_ROOT}
-    env.pop("PYTHONUNBUFFERED", None)
-    if buffering == "unbuffered":
-        env["PYTHONUNBUFFERED"] = "1"
+    env = child_env(PYTHONUNBUFFERED="1" if buffering == "unbuffered" else None)
     if sink == "closed":
         return subprocess.run(
             ["sh", "-c", 'exec "$0" "$@" >&-', *command],

@@ -7,13 +7,11 @@ the same change and says so:
     PYTHONPATH=src python tests/test_cli_contract.py
 """
 
-import io
 import json
 import os
-from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
-from cubepaths.cli import run
+from helpers import run_cli
 
 GOLDEN = Path(__file__).parent / "data" / "cli_contract.json"
 
@@ -93,14 +91,18 @@ def invocations() -> list[list[str]]:
         ["table", "-n", "all", "--length", "3"],
         ["table", "-n", "6", "--length", "3", "--format", "xml"],
     ]
+    # point spellings int() accepts: a plus sign, blanks, digit underscores
+    cases += [
+        ["count", "--to", "+1,2,3", "-n", "6"],
+        ["count", "--to", " 1, 2, 3", "-n", "all"],
+        ["distance", "--to", "1_000,-2_0,0", "-n", "18"],
+    ]
     return cases
 
 
-def invoke(args: list[str]) -> dict:
-    stdout, stderr = io.StringIO(), io.StringIO()
-    with redirect_stdout(stdout), redirect_stderr(stderr):
-        code = run(args)
-    return {"args": args, "code": code, "stdout": stdout.getvalue(), "stderr": stderr.getvalue()}
+def record(args: list[str]) -> dict:
+    code, stdout, stderr = run_cli(args)
+    return {"args": args, "code": code, "stdout": stdout, "stderr": stderr}
 
 
 def _case_id(entry: dict) -> str:
@@ -117,7 +119,7 @@ def pytest_generate_tests(metafunc):
 
 def test_cli_output_matches_the_golden_file(entry, monkeypatch):
     monkeypatch.setenv("COLUMNS", "80")  # help text wraps at the terminal width
-    assert invoke(entry["args"]) == entry
+    assert record(entry["args"]) == entry
 
 
 def test_the_generator_lists_the_golden_file_invocations_in_order():
@@ -128,7 +130,7 @@ def test_the_generator_lists_the_golden_file_invocations_in_order():
 
 if __name__ == "__main__":
     os.environ["COLUMNS"] = "80"
-    corpus = [invoke(args) for args in invocations()]
+    corpus = [record(args) for args in invocations()]
     GOLDEN.parent.mkdir(exist_ok=True)
     lines = ",\n".join(json.dumps(entry) for entry in corpus)
     GOLDEN.write_text(f"[\n{lines}\n]\n", encoding="utf-8")

@@ -1,8 +1,8 @@
 """Tests for the shared value types: points, neighborhoods, moves, offsets."""
 
 import copy
+import math
 import pickle
-import random
 import re
 from itertools import product
 
@@ -17,6 +17,7 @@ from cubepaths.core import (
     admissible_moves,
     canonicalize,
 )
+from helpers import SIGNED_MAPS, canonical_triples, seeded_points, signed_image
 
 
 # ------------------------------------------------------------ canonicalize
@@ -37,17 +38,9 @@ def test_canonicalize_already_canonical():
     assert off.as_triple() == (9, 5, 4)
 
 
-def _sample_pairs(seed, bound, count=1000):
-    # a fixed-seed sample, so a failing pair is the same on every run
-    rng = random.Random(seed)
-    return [
-        tuple(GridPoint(*(rng.randint(-bound, bound) for _ in range(3))) for _ in range(2))
-        for _ in range(count)
-    ]
-
-
 def test_canonicalize_round_trip():
-    for p, q in _sample_pairs(20261020, 1000):
+    points = seeded_points(20261020, 1000, 2000)
+    for p, q in zip(points[::2], points[1::2]):
         magnitudes = sorted((abs(c) for c in p.displacement_from(q)), reverse=True)
         assert canonicalize(p, q).as_triple() == tuple(magnitudes), (p, q)
 
@@ -65,17 +58,30 @@ def test_canonicalize_every_order_tie_and_sign_pattern():
 
 
 def test_canonicalize_is_sorted_nonnegative():
-    for p, q in _sample_pairs(20261021, 50):
+    points = seeded_points(20261021, 50, 2000)
+    for p, q in zip(points[::2], points[1::2]):
         off = canonicalize(p, q)
         assert off.i >= off.j >= off.k >= 0, (p, q)
 
 
 def test_canonicalize_idempotent():
     # every sorted triple with components in 0..30
-    for i in range(31):
-        for j in range(i + 1):
-            for k in range(j + 1):
-                assert canonicalize(GridPoint(i, j, k), ORIGIN) == CanonicalOffset(i, j, k)
+    for triple in canonical_triples(30):
+        assert canonicalize(GridPoint(*triple), ORIGIN) == CanonicalOffset(*triple)
+
+
+def test_the_shared_test_inputs_are_the_boxes_maps_and_samples_they_name():
+    # tests/helpers.py: each sweep over the canonical box, each signed map and
+    # each seeded sample in the suite comes from here
+    for e in range(9):
+        box = list(canonical_triples(e))
+        cube = [t for t in product(range(e + 1), repeat=3) if t[0] >= t[1] >= t[2]]
+        assert len(box) == len(set(box)) == math.comb(e + 3, 3)
+        assert set(box) == set(cube)
+        assert list(canonical_triples(e, start=1)) == [t for t in box if t[0] >= 1]
+    assert len(SIGNED_MAPS) == 48
+    assert len({signed_image(*g, (1, 2, 3)) for g in SIGNED_MAPS}) == 48  # distinct maps
+    assert seeded_points(7, 1000, 100) == seeded_points(7, 1000, 100)
 
 
 def test_canonical_offset_rejects_unsorted():

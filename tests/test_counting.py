@@ -7,15 +7,11 @@ separately (test_oracle.py and the acceptance suite).
 
 import functools
 import importlib
-import importlib.util
-import io
 import json
 import math
 from collections import Counter
-from contextlib import redirect_stdout
 from itertools import product
 from math import factorial
-from pathlib import Path
 
 import pytest
 import sympy
@@ -51,6 +47,8 @@ from cubepaths.oracle import (
 )
 from cubepaths.tables import CountTable, TableEntry, shell_table, slice_table_2d
 from cubepaths.verify import VerifyReport, verify_region
+import oracle_anchors
+from helpers import canonical_triples, load_script, run_cli
 
 
 def _sorted_offset(a, b, c):
@@ -156,18 +154,9 @@ def test_maxcase_equals_single_sum_at_the_heaviest_benchmark_shapes(triple):
     assert count_n18_maxcase(CanonicalOffset(*triple)) == _single_sum_n18_maxcase(*triple)
 
 
-def _module_at(relative, name):
-    # a script outside the package, loaded from its file
-    path = Path(__file__).resolve().parents[1] / relative
-    spec = importlib.util.spec_from_file_location(name, path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
 def _perfbench_reference():
     # the benchmark's own references, which share no code with cubepaths
-    return _module_at("perfbench/reference.py", "perfbench_reference")
+    return load_script("perfbench/reference.py", "perfbench_reference")
 
 
 @pytest.mark.parametrize("triple", [(2000, 0, 0), (4000, 2000, 1000)])
@@ -319,23 +308,15 @@ def _halfcase_pattern(off):
     return ((i + j + k) % 2, *(min(g, 3) for g in gaps))
 
 
-def _n18_box(top, keep):
-    return [
-        CanonicalOffset(i, j, k)
-        for i in range(1, top + 1)
-        for j in range(i + 1)
-        for k in range(j + 1)
-        if keep(i, j, k)
-    ]
-
-
 def _check_n18_predecessors(keep, pattern, steps, expected, excluded):
     # the geodesic predecessors of each point of a region, found from the move
     # set and the metric alone, are the expected points (compared raw, so each
     # is one step back along the move the certificate names), and none lies in
     # the excluded case; the box i <= 12 holds every pattern (i <= 18 adds none)
-    box = _n18_box(12, keep)
-    assert {pattern(off) for off in box} == {pattern(off) for off in _n18_box(18, keep)}
+    box = [CanonicalOffset(*t) for t in canonical_triples(12, start=1) if keep(*t)]
+    assert {pattern(off) for off in box} == {
+        pattern(t) for t in canonical_triples(18, start=1) if keep(*t)
+    }
     n18 = Neighborhood.N18
     for off in box:
         v = GridPoint(*off)
@@ -400,7 +381,7 @@ def test_maxcase_predecessors_are_the_ones_the_step_polynomial_sums_over():
 # the canonical box 0 <= k <= j <= i <= 5 (56 points, 26,106 paths); the
 # kernels give only group sizes.
 
-_LISTED = [CanonicalOffset(i, j, k) for i in range(6) for j in range(i + 1) for k in range(j + 1)]
+_LISTED = [CanonicalOffset(*t) for t in canonical_triples(5)]
 
 
 @functools.cache
@@ -610,11 +591,9 @@ def test_count_n6_values(triple, expected):
 
 def test_count_n6_is_the_factorial_quotient():
     # every canonical offset with i <= 60
-    for i in range(61):
-        for j in range(i + 1):
-            for k in range(j + 1):
-                quotient = factorial(i + j + k) // (factorial(i) * factorial(j) * factorial(k))
-                assert count_n6(CanonicalOffset(i, j, k)) == quotient, (i, j, k)
+    for i, j, k in canonical_triples(60):
+        quotient = factorial(i + j + k) // (factorial(i) * factorial(j) * factorial(k))
+        assert count_n6(CanonicalOffset(i, j, k)) == quotient, (i, j, k)
 
 
 def test_count_n6_pascal_recurrence():
@@ -711,38 +690,32 @@ def test_classify_n18(triple, case):
 
 
 def test_both_formulas_agree_where_both_apply():
-    for i in range(0, 21):
-        for j in range(0, i + 1):
-            for k in range(0, j + 1):
-                if j + k <= i <= j + k + 1:
-                    off = CanonicalOffset(i, j, k)
-                    assert count_n18_maxcase(off) == count_n18_halfcase(off), off
+    for i, j, k in canonical_triples(20):
+        if j + k <= i <= j + k + 1:
+            off = CanonicalOffset(i, j, k)
+            assert count_n18_maxcase(off) == count_n18_halfcase(off), off
 
 
 def test_count_n18_dispatch_matches_applicable_formula():
-    for i in range(26):
-        for j in range(i + 1):
-            for k in range(j + 1):
-                off = CanonicalOffset(i, j, k)
-                expected = (
-                    count_n18_maxcase(off)
-                    if classify_n18(off) is not N18Case.HALF_CASE
-                    else count_n18_halfcase(off)
-                )
-                assert count_paths(off, Neighborhood.N18) == expected, off
-                assert count_paths(off, Neighborhood.N18, check_overlap=True) == expected, off
+    for triple in canonical_triples(25):
+        off = CanonicalOffset(*triple)
+        expected = (
+            count_n18_maxcase(off)
+            if classify_n18(off) is not N18Case.HALF_CASE
+            else count_n18_halfcase(off)
+        )
+        assert count_paths(off, Neighborhood.N18) == expected, off
+        assert count_paths(off, Neighborhood.N18, check_overlap=True) == expected, off
 
 
 def test_halfcase_even_sum_is_a_multinomial():
     # every canonical offset with i <= 30 in the half case with an even sum
-    for i in range(31):
-        for j in range(i + 1):
-            for k in range(j + 1):
-                if i <= j + k and (i + j + k) % 2 == 0:
-                    steps = (i + j + k) // 2
-                    parts = factorial(steps - i) * factorial(steps - j) * factorial(steps - k)
-                    off = CanonicalOffset(i, j, k)
-                    assert count_n18_halfcase(off) == factorial(steps) // parts, off
+    for i, j, k in canonical_triples(30):
+        if i <= j + k and (i + j + k) % 2 == 0:
+            steps = (i + j + k) // 2
+            parts = factorial(steps - i) * factorial(steps - j) * factorial(steps - k)
+            off = CanonicalOffset(i, j, k)
+            assert count_n18_halfcase(off) == factorial(steps) // parts, off
 
 
 def test_nine_five_four_counts_to_126_under_both_formulas():
@@ -787,11 +760,9 @@ def test_count_n26_values(triple, expected):
 
 
 def test_count_n26_is_planar_product():
-    for i in range(26):
-        for j in range(i + 1):
-            for k in range(j + 1):
-                off = CanonicalOffset(i, j, k)
-                assert count_n26(off) == count_n8_2d(i, j) * count_n8_2d(i, k), off
+    for i, j, k in canonical_triples(25):
+        off = CanonicalOffset(i, j, k)
+        assert count_n26(off) == count_n8_2d(i, j) * count_n8_2d(i, k), off
 
 
 def test_count_n26_diagonal_lock_is_perfect_square():
@@ -1242,10 +1213,9 @@ def _cli_misses() -> list:
     misses = []
     for i, j, k in _FAR_FIELD:
         argv = ["count", "--from", "1,-2,3", "--to", f"{1 + k},{-2 - i},{3 + j}", "-n", "all"]
-        out = io.StringIO()
-        with redirect_stdout(out):
-            assert cli.run(argv) == 0
-        for line in out.getvalue().splitlines():
+        code, out, _ = run_cli(argv)
+        assert code == 0
+        for line in out.splitlines():
             n, value = line.split("\t")
             if not reference.matches(int(n), (i, j, k), int(value)):
                 misses.append(((i, j, k), int(n)))
@@ -1266,9 +1236,7 @@ def test_cli_count_equals_the_modular_reference_in_the_far_field():
 # 100 to 250 (tests/oracle_anchors.py).  They are the one far-field check that
 # shares nothing with the formulas.
 
-_ANCHORS = json.loads(
-    (Path(__file__).parent / "data" / "oracle_anchors.json").read_text(encoding="utf-8")
-)["anchors"]
+_ANCHORS = json.loads(oracle_anchors.DATA.read_text(encoding="utf-8"))["anchors"]
 
 
 def _anchor_misses() -> list:
@@ -1294,17 +1262,15 @@ def test_cli_count_equals_the_oracle_anchors():
         counts = expected.setdefault(tuple(anchor["target"]), {})
         counts[str(anchor["neighborhood"])] = anchor["count"]
     for target, counts in expected.items():
-        out = io.StringIO()
-        with redirect_stdout(out):
-            assert cli.run(["count", "--to", ",".join(map(str, target)), "-n", "all"]) == 0
-        printed = dict(line.split("\t") for line in out.getvalue().splitlines())
+        code, out, _ = run_cli(["count", "--to", ",".join(map(str, target)), "-n", "all"])
+        assert code == 0
+        printed = dict(line.split("\t") for line in out.splitlines())
         assert {n: printed[n] for n in counts} == counts, target
 
 
 def test_the_anchor_file_lists_the_script_targets_in_order():
     # editing the script's list without regenerating the file fails here
-    script = _module_at("tests/oracle_anchors.py", "oracle_anchors")
-    assert [(a["neighborhood"], tuple(a["target"])) for a in _ANCHORS] == script.ANCHORS
+    assert [(a["neighborhood"], tuple(a["target"])) for a in _ANCHORS] == oracle_anchors.ANCHORS
 
 
 _exact_count = functools.cache(count_paths)

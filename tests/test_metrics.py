@@ -5,24 +5,18 @@ closed-form distance must equal the true unweighted shortest-path length in
 the move graph, computed without any distance formula.
 """
 
-import random
 from collections import deque
-from itertools import permutations, product
+from itertools import product
 
 import pytest
 
 from cubepaths.core import ORIGIN, GridPoint, Neighborhood, admissible_moves
 from cubepaths.metrics import displacement_metric, distance
+from helpers import SIGNED_MAPS, seeded_points, signed_image
 
 # every point of the near box [-3, 3]^3, and of [-2, 2]^3 for the triangle
 NEAR = [GridPoint(*v) for v in product(range(-3, 4), repeat=3)]
 NEARER = [GridPoint(*v) for v in product(range(-2, 3), repeat=3)]
-
-
-def _far_points(seed, count):
-    # a fixed-seed sample in +-1000, so a failing point is the same on every run
-    rng = random.Random(seed)
-    return [GridPoint(*(rng.randint(-1000, 1000) for _ in range(3))) for _ in range(count)]
 
 
 def _shifted(p, t):
@@ -80,7 +74,7 @@ def test_displacement_metric_matches_point_form():
 
 
 def test_symmetry():
-    far = _far_points(1, 2000)
+    far = seeded_points(1, 1000, 2000)
     pairs = [(p, ORIGIN) for p in NEAR] + list(zip(far[::2], far[1::2]))
     for neighborhood in Neighborhood:
         for p, q in pairs:
@@ -88,7 +82,7 @@ def test_symmetry():
 
 
 def test_zero_iff_equal():
-    far = _far_points(2, 2000)
+    far = seeded_points(2, 1000, 2000)
     pairs = [(p, ORIGIN) for p in NEAR] + [(p, p) for p in far] + list(zip(far[::2], far[1::2]))
     for neighborhood in Neighborhood:
         for p, q in pairs:
@@ -96,7 +90,7 @@ def test_zero_iff_equal():
 
 
 def test_triangle_inequality():
-    far = _far_points(3, 3000)
+    far = seeded_points(3, 1000, 3000)
     triples = [(ORIGIN, q, r) for q in NEARER for r in NEARER]
     triples += zip(far[::3], far[1::3], far[2::3])
     for neighborhood in Neighborhood:
@@ -107,7 +101,7 @@ def test_triangle_inequality():
 
 
 def test_translation_invariance():
-    far = _far_points(4, 3000)
+    far = seeded_points(4, 1000, 3000)
     triples = [(p, ORIGIN, GridPoint(50, -50, 7)) for p in NEAR]
     triples += zip(far[::3], far[1::3], far[2::3])
     for neighborhood in Neighborhood:
@@ -117,7 +111,7 @@ def test_translation_invariance():
 
 
 def test_richer_moves_never_lengthen_paths():
-    far = _far_points(5, 2000)
+    far = seeded_points(5, 1000, 2000)
     pairs = [(p, ORIGIN) for p in NEAR] + list(zip(far[::2], far[1::2]))
     for p, q in pairs:
         assert (
@@ -129,29 +123,19 @@ def test_richer_moves_never_lengthen_paths():
 
 # ------------------------------------------------ the symmetry premise
 
-# the 48 signed permutations of the axes: v -> (s0 v[p0], s1 v[p1], s2 v[p2])
-_SIGNED_PERMUTATIONS = [
-    (perm, signs) for perm in permutations(range(3)) for signs in product((1, -1), repeat=3)
-]
-
-
-def _image(v, perm, signs):
-    return tuple(s * v[axis] for axis, s in zip(perm, signs))
-
 
 @pytest.mark.parametrize("neighborhood", list(Neighborhood))
 def test_move_set_and_metric_are_invariant_under_signed_permutations(neighborhood):
     """canonicalize, and every count on a canonical offset, rest on this:
     each signed permutation maps the move set onto itself and keeps the
     metric of every displacement."""
-    assert len({_image((1, 2, 3), *g) for g in _SIGNED_PERMUTATIONS}) == 48  # distinct maps
     moves = {step.as_tuple() for step in admissible_moves(neighborhood)}
     metric = displacement_metric(neighborhood)
     box = list(product(range(-4, 5), repeat=3))
-    for perm, signs in _SIGNED_PERMUTATIONS:
-        assert {_image(m, perm, signs) for m in moves} == moves
+    for perm, signs in SIGNED_MAPS:
+        assert {signed_image(perm, signs, m) for m in moves} == moves
         for v in box:
-            assert metric(*_image(v, perm, signs)) == metric(*v), (v, perm, signs)
+            assert metric(*signed_image(perm, signs, v)) == metric(*v), (v, perm, signs)
 
 
 # ------------------------------------- independent graph-search cross-check

@@ -8,7 +8,7 @@ beyond argument.
 
 import ast
 import inspect
-from itertools import permutations, product
+from itertools import product
 
 import pytest
 
@@ -29,6 +29,7 @@ from cubepaths.oracle import (
     oracle_count_2d,
 )
 from cubepaths.verify import verify_region
+from helpers import SIGNED_MAPS, signed_image
 
 
 def _brute_force_count(target, neighborhood):
@@ -211,24 +212,16 @@ def _plain(paths):
     return [tuple(step.as_tuple() for step in path) for path in paths]
 
 
-def _signed_permutation(perm, signs, v):
-    return tuple(s * v[a] for s, a in zip(signs, perm))
-
-
 def test_the_walk_at_a_signed_permuted_target_is_the_sorted_image():
     # the move sets are closed under the 48 signed axis permutations, so the
     # listing at sigma(t) is the listing at t with sigma applied to every step,
     # re-sorted; this holds the walk's sign handling at every signed target
-    sigmas = list(product(permutations(range(3)), product((1, -1), repeat=3)))
-    assert len(sigmas) == 48
     for target in [(2, 1, 0), (2, 2, 1), (3, 2, 1)]:
         for neighborhood in Neighborhood:
             listing = _plain(iter_shortest_paths(GridPoint(*target), neighborhood))
-            for sigma in sigmas:
-                image = sorted(
-                    tuple(_signed_permutation(*sigma, step) for step in path) for path in listing
-                )
-                moved = GridPoint(*_signed_permutation(*sigma, target))
+            for sigma in SIGNED_MAPS:
+                image = sorted(tuple(signed_image(*sigma, m) for m in path) for path in listing)
+                moved = GridPoint(*signed_image(*sigma, target))
                 assert _plain(iter_shortest_paths(moved, neighborhood)) == image, sigma
 
 

@@ -7,7 +7,6 @@ to the next ``$`` line or the closing fence.  The ``>>>`` session of the
 """
 
 import doctest
-import os
 import re
 import shlex
 import subprocess
@@ -16,11 +15,9 @@ from pathlib import Path
 
 import pytest
 
-import cubepaths
+from helpers import child_env
 
 README = Path(__file__).resolve().parents[1] / "README.md"
-# run the package under test, wherever it was imported from
-SOURCE_ROOT = str(Path(cubepaths.__file__).resolve().parents[1])
 
 _FENCE = re.compile(r"^```(\w*)\n(.*?)^```$", re.M | re.S)
 
@@ -65,7 +62,7 @@ def test_console_example(argv, expected):
         capture_output=True,
         text=True,
         timeout=120,
-        env={**os.environ, "PYTHONPATH": SOURCE_ROOT},
+        env=child_env(),
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines() == expected
