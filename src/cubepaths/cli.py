@@ -76,24 +76,49 @@ class _Parser(argparse.ArgumentParser):
             )
 
 
+def _parse_int(text: str) -> Optional[int]:
+    """int(text), or None where text is valid int() syntax that CPython's
+    digit cap on int parsing refuses; ValueError where it is not an integer."""
+    try:
+        return int(text)
+    except ValueError:
+        # an interpreter without the cap never returns None
+        if re.fullmatch(r"[+-]?\d(?:_?\d)*", text.strip()):
+            return None
+        raise
+
+
 def _parse_point(text: str) -> GridPoint:
-    parts = [chunk.strip() for chunk in text.split(",")]
+    parts = text.split(",")
     if len(parts) != 3:
         raise argparse.ArgumentTypeError(f"malformed point {text!r}: expected X,Y,Z")
     try:
-        x, y, z = (int(chunk) for chunk in parts)
+        # a chunk too large does not stop the reading, so a malformed one wins
+        values = [_parse_int(chunk) for chunk in parts]
     except ValueError:
-        if all(re.fullmatch(r"[+-]?\d(?:_?\d)*", chunk) for chunk in parts):
-            # each chunk is valid int() syntax, so CPython's digit cap on int
-            # parsing rejected it; an interpreter without the cap never gets here
-            raise argparse.ArgumentTypeError(
-                "point too large: components are limited to "
-                f"{sys.get_int_max_str_digits()} digits"
-            ) from None
         raise argparse.ArgumentTypeError(
             f"malformed point {text!r}: components must be integers"
         ) from None
-    return GridPoint(x, y, z)
+    if None in values:
+        # the cap is named, not the thousands of digits it refused
+        raise argparse.ArgumentTypeError(
+            f"point too large: components are limited to {sys.get_int_max_str_digits()} digits"
+        )
+    return GridPoint(*values)
+
+
+def _parse_option(text: str) -> int:
+    # the integer value of --limit, --extent, --length or --slice-2d
+    try:
+        value = _parse_int(text)
+    except ValueError:
+        # argparse's own wording for a type=int option
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value is None:
+        raise argparse.ArgumentTypeError(
+            f"value too large: integers are limited to {sys.get_int_max_str_digits()} digits"
+        )
+    return value
 
 
 def _check_option(option: str, value: int, least: int) -> None:
@@ -265,7 +290,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = _endpoint_parser(sub, "paths", "list shortest paths as step sequences", allow_all=False)
     p.add_argument(
         "--limit",
-        type=int,
+        type=_parse_option,
         default=DEFAULT_ENUMERATION_LIMIT,
         help=f"maximum number of paths to emit (default {DEFAULT_ENUMERATION_LIMIT})",
     )
@@ -273,14 +298,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_paths)
 
     p = sub.add_parser("verify", help="sweep formulas against the oracle")
-    p.add_argument("--extent", type=int, default=5, help="canonical box size (default 5)")
+    p.add_argument(
+        "--extent", type=_parse_option, default=5, help="canonical box size (default 5)"
+    )
     p.add_argument("-n", "--neighborhood", choices=_TOKENS + ("all",), default="all")
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.set_defaults(handler=_cmd_verify)
 
     p = sub.add_parser("table", help="export count tables (shells or 2D slice)")
     p.add_argument("-n", "--neighborhood", choices=_TOKENS)
-    p.add_argument("--length", type=int, help="digital distance of the shell")
+    p.add_argument("--length", type=_parse_option, help="digital distance of the shell")
     p.add_argument(
         "--expand-symmetry",
         action="store_true",
@@ -289,7 +316,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--slice-2d",
         dest="slice_2d",
-        type=int,
+        type=_parse_option,
         metavar="MAX_I",
         help="emit the planar chessboard table for 0 <= j <= i <= MAX_I instead",
     )

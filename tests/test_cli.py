@@ -1,4 +1,16 @@
-"""End-to-end tests for the command-line interface, via run()."""
+"""What the CLI does that its golden contract cannot record.
+
+Every fixed argument list's exit code, stdout and stderr is pinned in one
+place, ``tests/data/cli_contract.json`` (see ``tests/test_cli_contract.py``).
+This file holds the rest:
+
+- a count beyond the int-to-str cap, checked against an independent factorial;
+- injected faults (``monkeypatch``): a verification mismatch, faulty kernels
+  the real sweep must find, an internal error that is not a usage error;
+- the number of writes to each stream;
+- child processes: ``python -m cubepaths``, pipes, closed or full stdout, and
+  the modules a count request imports.
+"""
 
 import io
 import json
@@ -21,65 +33,7 @@ from helpers import canonical_triples, child_env, run_cli
 HUGE = 7**6000
 
 
-# ---------------------------------------------------------------- distance
-
-
-def test_distance_single_neighborhood():
-    code, out, err = run_cli(["distance", "--from", "0,0,0", "--to", "7,4,2", "-n", "26"])
-    assert (code, out, err) == (EXIT_OK, "7\n", "")
-
-
-def test_distance_all_neighborhoods():
-    code, out, err = run_cli(["distance", "--to", "7,4,2", "-n", "all"])
-    assert code == EXIT_OK
-    assert out == "6\t13\n18\t7\n26\t7\n"
-
-
-def test_distance_respects_from_point():
-    code, out, _ = run_cli(["distance", "--from", "1,1,1", "--to", "3,3,3", "-n", "6"])
-    assert (code, out) == (EXIT_OK, "6\n")
-
-
-# ------------------------------------------------------------------- count
-
-
-def test_count_single_neighborhood():
-    code, out, err = run_cli(["count", "--from", "0,0,0", "--to", "0,3,0", "-n", "18"])
-    assert (code, out, err) == (EXIT_OK, "13\n", "")
-
-
-def test_count_all_neighborhoods():
-    code, out, _ = run_cli(["count", "--to", "1,-3,2", "-n", "all"])
-    assert code == EXIT_OK
-    assert out == "6\t60\n18\t3\n26\t18\n"
-
-
-def test_count_default_origin():
-    code, out, _ = run_cli(["count", "--to", "0,3,0", "-n", "18"])
-    assert (code, out) == (EXIT_OK, "13\n")
-
-
-def test_count_handles_negative_and_translated_input():
-    code, out, _ = run_cli(["count", "--from", "5,-1,2", "--to", "6,-4,4", "-n", "18"])
-    assert (code, out) == (EXIT_OK, "3\n")  # displacement (1,-3,2), same as 3,2,1
-
-
-def test_points_with_a_negative_first_component():
-    # a separate word such as "-13,3,3" is the point, not an unknown option
-    code, out, err = run_cli(["count", "--from", "-1,0,0", "--to", "-13,3,3", "-n", "18"])
-    assert (code, out, err) == (EXIT_OK, "1247400\n", "")
-    # and a malformed one such as "-1.5,0,0" gets the malformed-point message
-    code, out, err = run_cli(["count", "--to", "-1.5,0,0", "-n", "18"])
-    assert (code, out) == (EXIT_USAGE, "")
-    assert "malformed point '-1.5,0,0': components must be integers" in err
-
-
-@pytest.mark.parametrize("token,expected", [("6", "6\n"), ("18", "6\n"), ("26", "1\n")])
-def test_each_neighborhood_token_selects_its_connectivity(token, expected):
-    # (1,1,1): 3! orderings of unit steps under N6, one face and one edge
-    # step in either order under N18, and the single corner step under N26
-    code, out, err = run_cli(["count", "--to", "1,1,1", "-n", token])
-    assert (code, out, err) == (EXIT_OK, expected, "")
+# ------------------------------------------------------ independent values
 
 
 def test_count_beyond_the_int_to_str_cap():
@@ -90,103 +44,7 @@ def test_count_beyond_the_int_to_str_cap():
     assert out == decimal_string(trinomial) + "\n"
 
 
-# ------------------------------------------------------------------ oracle
-
-
-def test_oracle_agrees_with_count():
-    for target in ["2,2,1", "0,3,0", "3,-1,2"]:
-        for token in ["6", "18", "26"]:
-            _, count_out, _ = run_cli(["count", "--to", target, "-n", token])
-            code, oracle_out, _ = run_cli(["oracle", "--to", target, "-n", token])
-            assert code == EXIT_OK
-            assert oracle_out == count_out
-
-
-def test_oracle_all():
-    code, out, _ = run_cli(["oracle", "--to", "2,2,2", "-n", "all"])
-    assert code == EXIT_OK
-    assert out == "6\t90\n18\t6\n26\t1\n"
-
-
-# ------------------------------------------------------------------- paths
-
-
-def test_paths_single_straight_path():
-    code, out, err = run_cli(["paths", "--to", "2,0,0", "-n", "6"])
-    assert (code, out, err) == (EXIT_OK, "1,0,0 1,0,0\n", "")
-
-
-def test_paths_lists_all_shortest_paths_in_order():
-    code, out, err = run_cli(["paths", "--to", "1,1,1", "-n", "18"])
-    assert code == EXIT_OK and err == ""
-    assert out.splitlines() == [
-        "0,0,1 1,1,0",
-        "0,1,0 1,0,1",
-        "0,1,1 1,0,0",
-        "1,0,0 0,1,1",
-        "1,0,1 0,1,0",
-        "1,1,0 0,0,1",
-    ]
-
-
-def test_paths_truncation_notes_to_stderr():
-    code, out, err = run_cli(["paths", "--to", "0,3,0", "-n", "18", "--limit", "5"])
-    assert code == EXIT_OK
-    assert len(out.splitlines()) == 5
-    assert "truncated at 5 paths" in err
-
-
-def test_paths_relative_to_from_point():
-    code, out, _ = run_cli(["paths", "--from", "1,1,1", "--to", "3,1,1", "-n", "6"])
-    assert (code, out) == (EXIT_OK, "1,0,0 1,0,0\n")
-
-
-def test_paths_json_format():
-    code, out, _ = run_cli(["paths", "--to", "1,1,1", "-n", "18", "--format", "json"])
-    assert code == EXIT_OK
-    payload = json.loads(out)
-    assert payload["target"] == [1, 1, 1]
-    assert payload["neighborhood"] == 18
-    assert payload["distance"] == 2
-    assert payload["truncated"] is False
-    assert len(payload["paths"]) == 6
-    assert payload["paths"][0] == [[0, 0, 1], [1, 1, 0]]
-
-
-def test_paths_rejects_nonpositive_limit():
-    code, out, err = run_cli(["paths", "--to", "1,0,0", "-n", "6", "--limit", "0"])
-    assert code == EXIT_USAGE
-    assert out == ""
-    assert err == "cubepaths: error: --limit must be positive, got 0\n"
-
-
-def test_paths_takes_a_limit_beyond_sys_maxsize():
-    code, out, err = run_cli(
-        ["paths", "--to", "1,1,0", "-n", "18", "--limit", "99999999999999999999"]
-    )
-    assert (code, out, err) == (EXIT_OK, "1,1,0\n", "")
-
-
-# ------------------------------------------------------------------ verify
-
-
-def test_verify_clean_box():
-    code, out, err = run_cli(["verify", "--extent", "3"])
-    assert code == EXIT_OK and err == ""
-    assert out.splitlines() == [
-        "N6: checked 20 canonical points (extent 3), mismatches 0",
-        "N18: checked 20 canonical points (extent 3), mismatches 0",
-        "N26: checked 20 canonical points (extent 3), mismatches 0",
-    ]
-
-
-def test_verify_single_neighborhood_json():
-    code, out, _ = run_cli(["verify", "--extent", "2", "-n", "18", "--format", "json"])
-    assert code == EXIT_OK
-    payload = json.loads(out)
-    assert payload == [
-        {"neighborhood": 18, "extent": 2, "checked": 10, "mismatches": []}
-    ]
+# --------------------------------------------------------- injected faults
 
 
 def test_verify_mismatch_exits_2(monkeypatch):
@@ -313,153 +171,6 @@ def test_count_paths_takes_the_dominant_coordinate_sum_on_the_overlap(monkeypatc
         off = CanonicalOffset(*triple)
         assert counting.classify_n18(off) is counting.N18Case.OVERLAP
         assert counting.count_paths(off, Neighborhood.N18) == "max"
-
-
-def test_verify_rejects_negative_extent():
-    code, _, err = run_cli(["verify", "--extent", "-1"])
-    assert code == EXIT_USAGE
-    assert "must be nonnegative" in err
-
-
-# ------------------------------------------------------------------- table
-
-
-def test_table_csv_shell():
-    code, out, _ = run_cli(["table", "-n", "6", "--length", "2", "--format", "csv"])
-    assert code == EXIT_OK
-    assert out == "i,j,k,distance,count\n1,1,0,2,2\n2,0,0,2,1\n"
-
-
-def test_table_json_shell():
-    code, out, _ = run_cli(["table", "-n", "18", "--length", "3", "--format", "json"])
-    assert code == EXIT_OK
-    rows = json.loads(out)
-    assert {tuple(row["point"]): row["count"] for row in rows} == {
-        (2, 2, 1): "15",
-        (2, 2, 2): "6",
-        (3, 0, 0): "13",
-        (3, 1, 0): "12",
-        (3, 1, 1): "6",
-        (3, 2, 0): "3",
-        (3, 2, 1): "3",
-        (3, 3, 0): "1",
-    }
-
-
-def test_table_text_default_format():
-    code, out, _ = run_cli(["table", "-n", "26", "--length", "1"])
-    assert code == EXIT_OK
-    lines = out.splitlines()
-    assert lines[0].split() == ["i", "j", "k", "distance", "count"]
-    assert len(lines) == 4  # header + (1,0,0), (1,1,0), (1,1,1)
-
-
-def test_table_expand_symmetry():
-    code, out, _ = run_cli(
-        ["table", "-n", "6", "--length", "1", "--expand-symmetry", "--format", "csv"]
-    )
-    assert code == EXIT_OK
-    assert len(out.splitlines()) == 7  # header + six unit neighbors
-
-
-def test_table_slice_2d():
-    code, out, _ = run_cli(["table", "--slice-2d", "3", "--format", "csv"])
-    assert code == EXIT_OK
-    assert out.splitlines()[:4] == [
-        "i,j,k,distance,count",
-        "0,0,0,0,1",
-        "1,0,0,1,1",
-        "1,1,0,1,1",
-    ]
-    assert out.splitlines()[-1] == "3,3,0,3,1"
-
-
-def test_table_slice_conflicts_with_shell_flags():
-    code, _, err = run_cli(["table", "--slice-2d", "3", "-n", "6"])
-    assert code == EXIT_USAGE
-    assert "cannot be combined" in err
-
-
-def test_table_requires_neighborhood_and_length():
-    code, _, err = run_cli(["table", "-n", "6"])
-    assert code == EXIT_USAGE
-    assert "requires -n and --length" in err
-
-
-def test_table_rejects_negative_length():
-    code, _, err = run_cli(["table", "-n", "6", "--length", "-2"])
-    assert code == EXIT_USAGE
-    assert "nonnegative" in err
-
-
-# ------------------------------------------------------------ usage errors
-
-
-def test_malformed_point():
-    code, out, err = run_cli(["count", "--to", "badpoint", "-n", "6"])
-    assert code == EXIT_USAGE
-    assert out == ""
-    assert "malformed point 'badpoint': expected X,Y,Z" in err
-
-
-def test_noninteger_point_components():
-    code, _, err = run_cli(["count", "--to", "1,2.5,0", "-n", "6"])
-    assert code == EXIT_USAGE
-    assert "components must be integers" in err
-
-
-@pytest.mark.skipif(
-    not hasattr(sys, "get_int_max_str_digits"),
-    reason="this interpreter has no digit cap on int parsing",
-)
-def test_oversized_point_component_names_the_digit_cap():
-    huge = "1" + "0" * 5000
-    code, out, err = run_cli(["distance", "--to", f"{huge},0,0", "-n", "6"])
-    assert code == EXIT_USAGE
-    assert out == ""
-    assert f"components are limited to {sys.get_int_max_str_digits()} digits" in err
-    assert "must be integers" not in err
-    assert huge not in err
-
-
-def test_unknown_neighborhood():
-    code, _, err = run_cli(["count", "--to", "1,0,0", "-n", "99"])
-    assert code == EXIT_USAGE
-    assert "invalid choice" in err
-
-
-def test_invalid_neighborhood_token_is_worded_with_repr():
-    # the same wording on every supported Python, whatever its argparse prints
-    code, out, err = run_cli(["count", "--to", "1,0,0", "-n", "six"])
-    assert (code, out) == (EXIT_USAGE, "")
-    assert err == (
-        "cubepaths: error: argument -n/--neighborhood: invalid choice: 'six' "
-        "(choose from '6', '18', '26', 'all')\n"
-    )
-
-
-def test_missing_target():
-    code, _, err = run_cli(["distance", "-n", "6"])
-    assert code == EXIT_USAGE
-    assert "--to" in err
-
-
-def test_missing_subcommand():
-    code, _, err = run_cli([])
-    assert code == EXIT_USAGE
-    assert err.startswith("cubepaths: error:")
-
-
-def test_removed_bench_subcommand_is_a_usage_error():
-    code, out, err = run_cli(["bench"])
-    assert (code, out) == (EXIT_USAGE, "")
-    assert "invalid choice: 'bench'" in err
-
-
-def test_help_exits_zero():
-    code, out, _ = run_cli(["--help"])
-    assert code == EXIT_OK
-    assert "COMMAND" in out
 
 
 def test_internal_value_error_is_not_a_usage_error(monkeypatch):

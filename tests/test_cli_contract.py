@@ -1,10 +1,15 @@
 """The CLI contract, byte for byte: the stdout, stderr and exit code of every
 invocation stored in ``tests/data/cli_contract.json``, replayed through run().
 
-A change that means to alter the contract regenerates the golden file in
-the same change and says so:
+This is the one place the CLI's output is pinned.  A new case of what the
+CLI prints for a fixed argument list is one more entry appended to the end
+of ``invocations()``, not a hand-written assert on ``run_cli``; appending
+leaves every earlier entry in place.  Then regenerate the golden file:
 
     PYTHONPATH=src python tests/test_cli_contract.py
+
+A change that means to alter the contract regenerates it in the same change
+and says so.
 """
 
 import json
@@ -97,6 +102,51 @@ def invocations() -> list[list[str]]:
         ["count", "--to", " 1, 2, 3", "-n", "all"],
         ["distance", "--to", "1_000,-2_0,0", "-n", "18"],
     ]
+
+    cases += [
+        ["distance", "--from", "0,0,0", "--to", "7,4,2", "-n", "26"],
+        ["distance", "--from", "1,1,1", "--to", "3,3,3", "-n", "6"],
+        ["count", "--from", "0,0,0", "--to", "0,3,0", "-n", "18"],
+        # displacement (1,-3,2), the same count as (3,2,1)
+        ["count", "--from", "5,-1,2", "--to", "6,-4,4", "-n", "18"],
+        # a separate word such as "-13,3,3" is the point, not an unknown option
+        ["count", "--from", "-1,0,0", "--to", "-13,3,3", "-n", "18"],
+    ]
+    # (1,1,1): 3! orderings of unit steps under N6, one face and one edge step
+    # in either order under N18, and the single corner step under N26
+    cases += [["count", "--to", "1,1,1", "-n", n] for n in ("6", "18", "26")]
+    # count and its oracle twin; test_oracle_prints_what_count_prints pairs them
+    for target in ("2,2,1", "0,3,0", "3,-1,2"):
+        for n in ("6", "18", "26"):
+            cases += [[command, "--to", target, "-n", n] for command in ("count", "oracle")]
+    cases += [[command, "--to", "2,2,2", "-n", "all"] for command in ("count", "oracle")]
+    cases += [
+        ["paths", "--to", "2,0,0", "-n", "6"],
+        ["paths", "--to", "1,1,1", "-n", "18"],
+        ["paths", "--to", "0,3,0", "-n", "18", "--limit", "5"],
+        ["paths", "--from", "1,1,1", "--to", "3,1,1", "-n", "6"],
+        ["paths", "--to", "1,1,1", "-n", "18", "--format", "json"],
+        ["paths", "--to", "1,0,0", "-n", "6", "--limit", "0"],
+        ["verify", "--extent", "3"],
+        ["verify", "--extent", "2", "-n", "18", "--format", "json"],
+        ["table", "-n", "6", "--length", "2", "--format", "csv"],
+        ["table", "-n", "26", "--length", "1"],
+        ["table", "-n", "6", "--length", "1", "--expand-symmetry", "--format", "csv"],
+        ["table", "--slice-2d", "3", "--format", "csv"],
+        ["table", "--slice-2d", "3", "-n", "6"],
+        ["table", "-n", "6", "--length", "-2"],
+        ["count", "--to", "1,0,0", "-n", "99"],
+        ["count", "--to", "1,0,0", "-n", "six"],
+    ]
+    # each integer option, beyond CPython's digit cap on int parsing (refused
+    # by name, not echoed) and malformed
+    for option in (
+        ["paths", "--to", "1,1,1", "-n", "6", "--limit"],
+        ["verify", "--extent"],
+        ["table", "-n", "6", "--length"],
+        ["table", "--slice-2d"],
+    ):
+        cases += [option + [huge], option + ["abc"]]
     return cases
 
 
@@ -125,7 +175,23 @@ def test_cli_output_matches_the_golden_file(entry, monkeypatch):
 def test_the_generator_lists_the_golden_file_invocations_in_order():
     # editing invocations() or the golden file without regenerating fails here
     golden = json.loads(GOLDEN.read_text(encoding="utf-8"))
-    assert invocations() == [entry["args"] for entry in golden]
+    cases = invocations()
+    assert cases == [entry["args"] for entry in golden]
+    assert len(set(map(tuple, cases))) == len(cases), "an argv repeats"
+
+
+def test_oracle_prints_what_count_prints():
+    # the graph search and the closed forms agree at every golden target
+    golden = json.loads(GOLDEN.read_text(encoding="utf-8"))
+    printed = {tuple(entry["args"]): entry for entry in golden}
+    twins = [
+        (entry, printed["count", *entry["args"][1:]])
+        for entry in golden
+        if entry["args"][:1] == ["oracle"] and "--to" in entry["args"] and entry["code"] == 0
+    ]
+    assert len(twins) == 58
+    for oracle, count in twins:
+        assert {**oracle, "args": count["args"]} == count, oracle["args"]
 
 
 if __name__ == "__main__":
