@@ -13,7 +13,7 @@ import re
 import sys
 from typing import Optional, Sequence
 
-from .core import ORIGIN, GridPoint, Neighborhood, canonicalize, check_size
+from .core import ORIGIN, GridPoint, Neighborhood, admissible_moves, canonicalize, check_size
 from .counting import count_paths
 from .metrics import distance
 from .oracle import DEFAULT_ENUMERATION_LIMIT, enumerate_shortest_paths, oracle_count
@@ -107,26 +107,28 @@ def _parse_point(text: str) -> GridPoint:
     return GridPoint(*values)
 
 
-def _parse_option(text: str) -> int:
-    # the integer value of --limit, --extent, --length or --slice-2d
-    try:
-        value = _parse_int(text)
-    except ValueError:
-        # argparse's own wording for a type=int option
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if value is None:
-        raise argparse.ArgumentTypeError(
-            f"value too large: integers are limited to {sys.get_int_max_str_digits()} digits"
-        )
-    return value
+def _option(name: str, least: int):
+    """The argparse type of the integer option ``name``: its value, refused
+    by the library's size rule as argparse reads it."""
 
+    def parse(text: str) -> int:
+        try:
+            value = _parse_int(text)
+        except ValueError:
+            # argparse's own wording for a type=int option
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        if value is None:
+            raise argparse.ArgumentTypeError(
+                f"value too large: integers are limited to {sys.get_int_max_str_digits()} digits"
+            )
+        try:
+            check_size(name, value, least)
+        except ValueError as exc:
+            # with no action named, argparse reports the bare message
+            raise argparse.ArgumentError(None, str(exc)) from None
+        return value
 
-def _check_option(option: str, value: int, least: int) -> None:
-    # the library's size rule, worded for the option, as a usage error
-    try:
-        check_size(option, value, least)
-    except ValueError as exc:
-        raise _UsageError(str(exc)) from None
+    return parse
 
 
 def _neighborhoods(token: str) -> tuple[Neighborhood, ...]:
@@ -157,7 +159,6 @@ def _cmd_values(ns: argparse.Namespace) -> tuple[int, str, str]:
 
 
 def _cmd_paths(ns: argparse.Namespace) -> tuple[int, str, str]:
-    _check_option("--limit", ns.limit, 1)
     (neighborhood,) = _neighborhoods(ns.neighborhood)
     target = _displacement(ns)
     listing = enumerate_shortest_paths(target, neighborhood, limit=ns.limit)
@@ -170,15 +171,14 @@ def _cmd_paths(ns: argparse.Namespace) -> tuple[int, str, str]:
             "paths": listing.paths,
         }
         return EXIT_OK, json_line(payload), ""
-    out = "".join(
-        " ".join(f"{s.dx},{s.dy},{s.dz}" for s in path) + "\n" for path in listing.paths
-    )
+    # each step formatted once, not once per appearance
+    text = {step: "{},{},{}".format(*step) for step in admissible_moves(neighborhood)}
+    out = "".join(" ".join([text[step] for step in path]) + "\n" for path in listing.paths)
     note = f"note: output truncated at {ns.limit} paths; more exist\n"
     return EXIT_OK, out, note if listing.truncated else ""
 
 
 def _cmd_verify(ns: argparse.Namespace) -> tuple[int, str, str]:
-    _check_option("--extent", ns.extent, 0)
     neighborhoods = _neighborhoods(ns.neighborhood)
     reports = [verify_region(ns.extent, n) for n in neighborhoods]
     code = EXIT_OK if all(r.ok for r in reports) else EXIT_MISMATCH
@@ -218,12 +218,10 @@ def _cmd_table(ns: argparse.Namespace) -> tuple[int, str, str]:
     if ns.slice_2d is not None:
         if ns.neighborhood is not None or ns.length is not None or ns.expand_symmetry:
             raise _UsageError("--slice-2d cannot be combined with -n/--length/--expand-symmetry")
-        _check_option("--slice-2d", ns.slice_2d, 0)
         table = slice_table_2d(ns.slice_2d)
     else:
         if ns.neighborhood is None or ns.length is None:
             raise _UsageError("table requires -n and --length (or --slice-2d MAX_I)")
-        _check_option("--length", ns.length, 0)
         (neighborhood,) = _neighborhoods(ns.neighborhood)
         table = shell_table(neighborhood, ns.length, expand_symmetry=ns.expand_symmetry)
     renderer = {"text": to_text, "csv": to_csv, "tsv": to_tsv, "json": to_json}[ns.format]
@@ -290,7 +288,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = _endpoint_parser(sub, "paths", "list shortest paths as step sequences", allow_all=False)
     p.add_argument(
         "--limit",
-        type=_parse_option,
+        type=_option("--limit", 1),
         default=DEFAULT_ENUMERATION_LIMIT,
         help=f"maximum number of paths to emit (default {DEFAULT_ENUMERATION_LIMIT})",
     )
@@ -299,7 +297,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="sweep formulas against the oracle")
     p.add_argument(
-        "--extent", type=_parse_option, default=5, help="canonical box size (default 5)"
+        "--extent", type=_option("--extent", 0), default=5, help="canonical box size (default 5)"
     )
     p.add_argument("-n", "--neighborhood", choices=_TOKENS + ("all",), default="all")
     p.add_argument("--format", choices=("text", "json"), default="text")
@@ -307,7 +305,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("table", help="export count tables (shells or 2D slice)")
     p.add_argument("-n", "--neighborhood", choices=_TOKENS)
-    p.add_argument("--length", type=_parse_option, help="digital distance of the shell")
+    p.add_argument("--length", type=_option("--length", 0), help="digital distance of the shell")
     p.add_argument(
         "--expand-symmetry",
         action="store_true",
@@ -316,7 +314,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--slice-2d",
         dest="slice_2d",
-        type=_parse_option,
+        type=_option("--slice-2d", 0),
         metavar="MAX_I",
         help="emit the planar chessboard table for 0 <= j <= i <= MAX_I instead",
     )

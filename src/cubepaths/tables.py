@@ -29,6 +29,7 @@ class CountTable(NamedTuple):
 
 def symmetry_images(point: GridPoint) -> list[GridPoint]:
     """All distinct sign/permutation images of a point (up to 48)."""
+    check_type("point", point, GridPoint)
     images = set()
     for a, b, c in permutations(point):
         for sa, sb, sc in product((1, -1), repeat=3):
@@ -90,6 +91,7 @@ def decimal_string(value: int) -> str:
     halves that are converted recursively.  The cap itself stays in force,
     so parsing untrusted input with ``int()`` remains guarded.
     """
+    check_type("value", value, int)
     try:
         return str(value)
     except ValueError:
@@ -110,6 +112,7 @@ def json_line(value) -> str:
 
 def _cells(table: CountTable) -> list[tuple[str, ...]]:
     # the header row, then the five cells of each entry as text
+    check_type("table", table, CountTable)
     return [_COLUMNS] + [
         (str(x), str(y), str(z), str(dist), decimal_string(count))
         for (x, y, z), dist, count in table.entries
@@ -134,6 +137,7 @@ def to_tsv(table: CountTable) -> str:
 def to_json(table: CountTable) -> str:
     """Serialize as a JSON array of {point, distance, count} objects on one
     line (see :func:`json_line`)."""
+    check_type("table", table, CountTable)
     rows = [
         {
             "point": point,

@@ -147,6 +147,14 @@ def invocations() -> list[list[str]]:
         ["table", "--slice-2d"],
     ):
         cases += [option + [huge], option + ["abc"]]
+    # a bad size is refused as argparse reads it, before a missing or
+    # conflicting option, or a bad choice later in the line, is noticed
+    cases += [
+        ["paths", "--limit", "0", "-n", "6"],
+        ["table", "--length", "-1"],
+        ["table", "--slice-2d", "-1", "-n", "6"],
+        ["verify", "--extent", "-1", "-n", "7"],
+    ]
     return cases
 
 

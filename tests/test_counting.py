@@ -7,6 +7,7 @@ separately (test_oracle.py and the acceptance suite).
 
 import functools
 import importlib
+import inspect
 import json
 import math
 from collections import Counter
@@ -26,6 +27,7 @@ from cubepaths.core import (
     Neighborhood,
     admissible_moves,
     canonicalize,
+    check_size,
 )
 from cubepaths.counting import (
     N18Case,
@@ -45,7 +47,18 @@ from cubepaths.oracle import (
     oracle_count,
     oracle_count_2d,
 )
-from cubepaths.tables import CountTable, TableEntry, shell_table, slice_table_2d
+from cubepaths.tables import (
+    CountTable,
+    TableEntry,
+    decimal_string,
+    shell_table,
+    slice_table_2d,
+    symmetry_images,
+    to_csv,
+    to_json,
+    to_text,
+    to_tsv,
+)
 from cubepaths.verify import VerifyReport, verify_region
 import oracle_anchors
 from helpers import canonical_triples, load_script, run_cli
@@ -881,30 +894,132 @@ def test_the_package_exports_the_dispatcher_and_not_the_kernels_behind_it():
             assert helper.__name__ not in dir(cubepaths)
 
 
-# every public entry that takes a neighborhood, called with a valid rest
-_NEIGHBORHOOD_ENTRIES = {
-    "admissible_moves": admissible_moves,
-    "distance": lambda n: distance(GridPoint(3, 2, 1), ORIGIN, n),
-    "displacement_metric": displacement_metric,
-    "count_paths": lambda n: count_paths(CanonicalOffset(3, 2, 1), n),
-    "oracle_count": lambda n: oracle_count(GridPoint(3, 2, 1), n),
-    "iter_shortest_paths": lambda n: next(iter_shortest_paths(GridPoint(3, 2, 1), n)),
-    "enumerate_shortest_paths": lambda n: enumerate_shortest_paths(GridPoint(3, 2, 1), n),
-    "shell_table": lambda n: shell_table(n, 2),
-    "verify_region": lambda n: verify_region(1, n),
+# every checked parameter of a public function, "function(parameter)": its
+# kind and a call that passes it with a valid rest
+_CHECKED = {
+    "admissible_moves(neighborhood)": (Neighborhood, admissible_moves),
+    "canonicalize(p)": (GridPoint, lambda v: canonicalize(v, ORIGIN)),
+    "canonicalize(q)": (GridPoint, lambda v: canonicalize(ORIGIN, v)),
+    "displacement_metric(neighborhood)": (Neighborhood, displacement_metric),
+    "distance(p)": (GridPoint, lambda v: distance(v, ORIGIN, Neighborhood.N6)),
+    "distance(q)": (GridPoint, lambda v: distance(ORIGIN, v, Neighborhood.N6)),
+    "distance(neighborhood)": (Neighborhood, lambda v: distance(GridPoint(3, 2, 1), ORIGIN, v)),
+    "count_n6(off)": (CanonicalOffset, count_n6),
+    "count_n8_2d(i)": (int, lambda v: count_n8_2d(v, 0)),
+    "count_n8_2d(j)": (int, lambda v: count_n8_2d(2, v)),
+    "count_n18_maxcase(off)": (CanonicalOffset, count_n18_maxcase),
+    "count_n18_halfcase(off)": (CanonicalOffset, count_n18_halfcase),
+    "classify_n18(off)": (CanonicalOffset, classify_n18),
+    "count_n26(off)": (CanonicalOffset, count_n26),
+    "count_paths(off)": (CanonicalOffset, lambda v: count_paths(v, Neighborhood.N6)),
+    "count_paths(neighborhood)": (Neighborhood, lambda v: count_paths(CanonicalOffset(3, 2, 1), v)),
+    "count_paths(check_overlap)": (
+        bool,
+        lambda v: count_paths(CanonicalOffset(2, 1, 1), Neighborhood.N18, v),
+    ),
+    "oracle_count(target)": (GridPoint, lambda v: oracle_count(v, Neighborhood.N6)),
+    "oracle_count(neighborhood)": (Neighborhood, lambda v: oracle_count(GridPoint(3, 2, 1), v)),
+    "oracle_count_2d(i)": (int, lambda v: oracle_count_2d(v, 0)),
+    "oracle_count_2d(j)": (int, lambda v: oracle_count_2d(2, v)),
+    "iter_shortest_paths(target)": (
+        GridPoint,
+        lambda v: next(iter_shortest_paths(v, Neighborhood.N6)),
+    ),
+    "iter_shortest_paths(neighborhood)": (
+        Neighborhood,
+        lambda v: next(iter_shortest_paths(GridPoint(3, 2, 1), v)),
+    ),
+    # with a limit of 0 too: the target is refused before the limit is checked
+    "enumerate_shortest_paths(target)": (
+        GridPoint,
+        lambda v: enumerate_shortest_paths(v, Neighborhood.N6, 0),
+    ),
+    "enumerate_shortest_paths(neighborhood)": (
+        Neighborhood,
+        lambda v: enumerate_shortest_paths(GridPoint(3, 2, 1), v),
+    ),
+    "enumerate_shortest_paths(limit)": (
+        int,
+        lambda v: enumerate_shortest_paths(GridPoint(1, 1, 0), Neighborhood.N6, v),
+    ),
+    "symmetry_images(point)": (GridPoint, symmetry_images),
+    "shell_table(neighborhood)": (Neighborhood, lambda v: shell_table(v, 2)),
+    "shell_table(length)": (int, lambda v: shell_table(Neighborhood.N6, v)),
+    "shell_table(expand_symmetry)": (bool, lambda v: shell_table(Neighborhood.N6, 2, v)),
+    "slice_table_2d(max_i)": (int, slice_table_2d),
+    "decimal_string(value)": (int, decimal_string),
+    "to_csv(table)": (CountTable, to_csv),
+    "to_tsv(table)": (CountTable, to_tsv),
+    "to_json(table)": (CountTable, to_json),
+    "to_text(table)": (CountTable, to_text),
+    "verify_region(extent)": (int, lambda v: verify_region(v, Neighborhood.N6)),
+    "verify_region(neighborhood)": (Neighborhood, lambda v: verify_region(1, v)),
+}
+
+# the wrong values each kind is given: a bool or a float used to pass as an
+# int, a truthy value as a flag, and a wrong value type to die on an internal
+# method (as_triple, as_tuple, displacement_from) or, as a MoveStep target,
+# to pass by accident
+_VALUES = [(1, 1, 0), GridPoint(1, 1, 0), CanonicalOffset(1, 1, 0), MoveStep(1, 1, 0), None]
+_WRONG = {
+    Neighborhood: [6, "18", None, [18]],
+    int: [True, 2.0, 2.5, "2"],
+    bool: [1, 0, "yes", None],
+    **{
+        kind: [value for value in _VALUES if not isinstance(value, kind)]
+        for kind in (GridPoint, CanonicalOffset, CountTable)
+    },
 }
 
 
-@pytest.mark.parametrize("neighborhood", [6, "18", None, [18]])
-@pytest.mark.parametrize("entry", list(_NEIGHBORHOOD_ENTRIES))
-def test_every_entry_refuses_what_is_not_a_neighborhood(entry, neighborhood):
-    with pytest.raises(ValueError) as refused:
-        _NEIGHBORHOOD_ENTRIES[entry](neighborhood)
-    assert str(refused.value) == f"unknown neighborhood: {neighborhood!r}"
+def _split(entry):
+    # "function(parameter)" -> ("function", "parameter")
+    function, parameter = entry[:-1].split("(")
+    return function, parameter
 
 
-# each entry above that takes another parameter, that parameter given a wrong
-# value type or a negative size as well, and the refusal that comes first
+@pytest.mark.parametrize(
+    "entry, value",
+    [
+        pytest.param(entry, value, id=f"{entry}-{value!r}")
+        for entry, (kind, _) in _CHECKED.items()
+        for value in _WRONG[kind]
+    ],
+)
+def test_every_checked_parameter_refuses_a_wrong_value(entry, value):
+    kind, call = _CHECKED[entry]
+    if kind is Neighborhood:
+        refusal = ValueError(f"unknown neighborhood: {value!r}")
+    else:
+        refusal = TypeError(f"{_split(entry)[1]} must be {kind.__name__}: {value!r}")
+    with pytest.raises(type(refusal)) as refused:
+        call(value)
+    assert str(refused.value) == str(refusal)
+
+
+def test_every_public_parameter_of_a_checked_kind_has_a_row():
+    # the modules' annotations are strings; check_size is the size rule itself
+    kinds = {kind.__name__ for kind in _WRONG}
+    found = {}
+    for module in ("core", "metrics", "counting", "oracle", "tables", "verify"):
+        namespace = importlib.import_module(f"cubepaths.{module}")
+        for name, function in vars(namespace).items():
+            if (
+                name.startswith("_")
+                or not inspect.isfunction(function)
+                or function.__module__ != namespace.__name__
+                or function is check_size
+            ):
+                continue
+            for parameter in inspect.signature(function).parameters.values():
+                if parameter.annotation in kinds:
+                    found[f"{name}({parameter.name})"] = parameter.annotation
+    assert {entry: kind.__name__ for entry, (kind, _) in _CHECKED.items()} == found
+
+
+# each function of a neighborhood row that has another row as well, that
+# parameter given a wrong value type or a negative size too, and the refusal
+# that comes first
 _TWO_FAULTS = {
     "distance": (
         lambda n: distance((3, 2, 1), ORIGIN, n),
@@ -935,107 +1050,23 @@ _TWO_FAULTS = {
         ValueError("extent must be nonnegative, got -1"),
     ),
 }
+_ROWS = Counter(_split(entry)[0] for entry in _CHECKED)
 
 
-@pytest.mark.parametrize("neighborhood", [6, "18", None, [18]])
+@pytest.mark.parametrize("neighborhood", _WRONG[Neighborhood])
 @pytest.mark.parametrize(
     "entry",
-    [e for e in _NEIGHBORHOOD_ENTRIES if e not in ("admissible_moves", "displacement_metric")],
+    [
+        _split(entry)[0]
+        for entry, (kind, _) in _CHECKED.items()
+        if kind is Neighborhood and _ROWS[_split(entry)[0]] > 1
+    ],
 )
 def test_a_wrong_type_or_size_is_refused_before_the_neighborhood(entry, neighborhood):
     call, first = _TWO_FAULTS[entry]
     with pytest.raises(type(first)) as refused:
         call(neighborhood)
     assert str(refused.value) == str(first)
-
-
-# every value-type parameter of a public entry or kernel: its type, a call with a valid rest
-_VALUE_PARAMETERS = {
-    "distance(p)": (GridPoint, lambda v: distance(v, ORIGIN, Neighborhood.N6)),
-    "distance(q)": (GridPoint, lambda v: distance(ORIGIN, v, Neighborhood.N6)),
-    "canonicalize(p)": (GridPoint, lambda v: canonicalize(v, ORIGIN)),
-    "canonicalize(q)": (GridPoint, lambda v: canonicalize(ORIGIN, v)),
-    "count_paths(off)": (CanonicalOffset, lambda v: count_paths(v, Neighborhood.N6)),
-    "count_n6(off)": (CanonicalOffset, count_n6),
-    "count_n18_maxcase(off)": (CanonicalOffset, count_n18_maxcase),
-    "count_n18_halfcase(off)": (CanonicalOffset, count_n18_halfcase),
-    "count_n26(off)": (CanonicalOffset, count_n26),
-    "classify_n18(off)": (CanonicalOffset, classify_n18),
-    "oracle_count(target)": (GridPoint, lambda v: oracle_count(v, Neighborhood.N6)),
-    "iter_shortest_paths(target)": (
-        GridPoint,
-        lambda v: next(iter_shortest_paths(v, Neighborhood.N6)),
-    ),
-    # with a limit of 0 too: the target is refused before the limit is checked
-    "enumerate_shortest_paths(target)": (
-        GridPoint,
-        lambda v: enumerate_shortest_paths(v, Neighborhood.N6, 0),
-    ),
-}
-_VALUES = [(1, 1, 0), GridPoint(1, 1, 0), CanonicalOffset(1, 1, 0), MoveStep(1, 1, 0), None]
-
-
-@pytest.mark.parametrize(
-    "entry, value",
-    [
-        pytest.param(entry, value, id=f"{entry}-{value!r}")
-        for entry, (kind, _) in _VALUE_PARAMETERS.items()
-        for value in _VALUES
-        if not isinstance(value, kind)
-    ],
-)
-def test_every_value_type_parameter_refuses_another_type(entry, value):
-    # a wrong type used to die on an internal method (as_triple, as_tuple,
-    # displacement_from), or, for a MoveStep target, to pass by accident
-    kind, call = _VALUE_PARAMETERS[entry]
-    with pytest.raises(TypeError) as refused:
-        call(value)
-    parameter = entry[entry.index("(") + 1 : -1]
-    assert str(refused.value) == f"{parameter} must be {kind.__name__}: {value!r}"
-
-
-# every raw-int parameter of a public entry, called with a valid rest
-_INT_PARAMETERS = {
-    "shell_table(length)": lambda v: shell_table(Neighborhood.N6, v),
-    "slice_table_2d(max_i)": slice_table_2d,
-    "verify_region(extent)": lambda v: verify_region(v, Neighborhood.N6),
-    "oracle_count_2d(i)": lambda v: oracle_count_2d(v, 0),
-    "oracle_count_2d(j)": lambda v: oracle_count_2d(2, v),
-    "count_n8_2d(i)": lambda v: count_n8_2d(v, 0),
-    "count_n8_2d(j)": lambda v: count_n8_2d(2, v),
-    "enumerate_shortest_paths(limit)": lambda v: enumerate_shortest_paths(
-        GridPoint(1, 1, 0), Neighborhood.N6, v
-    ),
-}
-
-
-@pytest.mark.parametrize("value", [True, 2.0, 2.5, "2"])
-@pytest.mark.parametrize("entry", list(_INT_PARAMETERS))
-def test_every_raw_int_parameter_refuses_what_is_not_exactly_int(entry, value):
-    # a bool or a float used to pass as 1, 0 or 2, or to die deep inside
-    with pytest.raises(TypeError) as refused:
-        _INT_PARAMETERS[entry](value)
-    parameter = entry[entry.index("(") + 1 : -1]
-    assert str(refused.value) == f"{parameter} must be int: {value!r}"
-
-
-# every flag parameter of a public entry, called with a valid rest
-_FLAG_PARAMETERS = {
-    "shell_table(expand_symmetry)": lambda v: shell_table(Neighborhood.N6, 2, v),
-    "count_paths(check_overlap)": lambda v: count_paths(
-        CanonicalOffset(2, 1, 1), Neighborhood.N18, v
-    ),
-}
-
-
-@pytest.mark.parametrize("value", [1, 0, "yes", None])
-@pytest.mark.parametrize("entry", list(_FLAG_PARAMETERS))
-def test_every_flag_parameter_refuses_what_is_not_exactly_bool(entry, value):
-    # a truthy value used to expand the shell or run the overlap check
-    with pytest.raises(TypeError) as refused:
-        _FLAG_PARAMETERS[entry](value)
-    parameter = entry[entry.index("(") + 1 : -1]
-    assert str(refused.value) == f"{parameter} must be bool: {value!r}"
 
 
 def test_richer_neighborhoods_at_zero_offset():
