@@ -92,7 +92,9 @@ def iter_shortest_paths(
 
     Depth-first search with an explicit stack (geodesics can be thousands
     of steps long); a step is taken iff it decreases the remaining distance
-    to the target by one, which prunes everything off-geodesic.
+    to the target by one, which prunes everything off-geodesic.  Each
+    displacement's onward steps are derived once per walk and reused every
+    time the search comes back to it.
     """
     check_type("target", target, GridPoint)
     dist = displacement_metric(neighborhood)  # refuses what is not a Neighborhood
@@ -102,25 +104,34 @@ def iter_shortest_paths(
         yield ()
         return
 
+    # displacement still to go -> its onward (step, next displacement) rows; every row
+    # leads on to zero, so each displacement held lies on a path already yielded
+    memo: dict[tuple[int, int, int], list[tuple[MoveStep, tuple[int, int, int]]]] = {}
+
     def onward(
-        wx: int, wy: int, wz: int, remaining: int
-    ) -> Iterator[tuple[MoveStep, int, int, int]]:
-        # the steps m that leave w - m one nearer zero in the metric, in lexicographic order
-        for step, dx, dy, dz in steps:
-            vx, vy, vz = wx - dx, wy - dy, wz - dz
-            if dist(vx, vy, vz) == remaining - 1:
-                yield step, vx, vy, vz
+        w: tuple[int, int, int], remaining: int
+    ) -> Iterator[tuple[MoveStep, tuple[int, int, int]]]:
+        rows = memo.get(w)
+        if rows is None:
+            # the steps m that leave w - m one nearer zero in the metric, in lexicographic order
+            wx, wy, wz = w
+            rows = memo[w] = []
+            for step, dx, dy, dz in steps:
+                vx, vy, vz = wx - dx, wy - dy, wz - dz
+                if dist(vx, vy, vz) == remaining - 1:
+                    rows.append((step, (vx, vy, vz)))
+        return iter(rows)
 
     prefix: list[MoveStep] = []
-    stack = [onward(*target, total)]
+    stack = [onward(target, total)]
     while stack:
-        for step, vx, vy, vz in stack[-1]:
+        for step, v in stack[-1]:
             prefix.append(step)
             if len(prefix) == total:
                 yield tuple(prefix)
                 prefix.pop()
             else:
-                stack.append(onward(vx, vy, vz, total - len(prefix)))
+                stack.append(onward(v, total - len(prefix)))
                 break
         else:
             stack.pop()

@@ -8,6 +8,7 @@ beyond argument.
 
 import ast
 import inspect
+import time
 from itertools import product
 
 import pytest
@@ -21,7 +22,7 @@ from cubepaths.core import (
     canonicalize,
 )
 from cubepaths.counting import count_n8_2d, count_paths
-from cubepaths.metrics import distance
+from cubepaths.metrics import displacement_metric, distance
 from cubepaths.oracle import (
     enumerate_shortest_paths,
     iter_shortest_paths,
@@ -29,7 +30,7 @@ from cubepaths.oracle import (
     oracle_count_2d,
 )
 from cubepaths.verify import verify_region
-from helpers import SIGNED_MAPS, signed_image
+from helpers import SIGNED_MAPS, canonical_triples, signed_image
 
 
 def _brute_force_count(target, neighborhood):
@@ -192,11 +193,13 @@ def test_enumerate_rejects_nonpositive_limit():
 
 
 def test_paths_are_sorted_distinct_and_valid():
-    for target in [(2, 2, 1), (1, -2, 0), (3, 1, 1)]:
+    # every canonical triple of extent 3, and one signed, unsorted target
+    for target in [*canonical_triples(3), (1, -2, 0)]:
         point = GridPoint(*target)
         for neighborhood in Neighborhood:
             d = distance(ORIGIN, point, neighborhood)
             paths = list(iter_shortest_paths(point, neighborhood))
+            assert len(paths) == count_paths(canonicalize(point, ORIGIN), neighborhood), target
             assert paths == sorted(paths)
             assert len(set(paths)) == len(paths)
             for path in paths:
@@ -206,6 +209,35 @@ def test_paths_are_sorted_distinct_and_valid():
                 sy = sum(step.dy for step in path)
                 sz = sum(step.dz for step in path)
                 assert (sx, sy, sz) == target
+
+
+def test_the_walk_derives_each_displacements_onward_steps_once(monkeypatch):
+    # the metric runs once for the target's distance, then once per step row at
+    # each distinct displacement still to go before a last step; a walk that
+    # re-derived a displacement's rows on each return to it would run it more
+    calls = 0
+
+    def counting_metric(neighborhood):
+        metric = displacement_metric(neighborhood)
+
+        def counted(x, y, z):
+            nonlocal calls
+            calls += 1
+            return metric(x, y, z)
+
+        return counted
+
+    monkeypatch.setattr(oracle_module, "displacement_metric", counting_metric)
+    target = (3, 2, 1)
+    paths = list(iter_shortest_paths(GridPoint(*target), Neighborhood.N26))
+    assert len(paths) == 18
+    to_go = set()
+    for path in paths:
+        w = target
+        for step in path:
+            to_go.add(w)
+            w = (w[0] - step.dx, w[1] - step.dy, w[2] - step.dz)
+    assert calls == len(oracle_module._STEPS[Neighborhood.N26]) * len(to_go) + 1
 
 
 def _plain(paths):
@@ -248,10 +280,13 @@ def test_the_searches_read_the_step_tables_built_at_import(monkeypatch):
 
 @pytest.mark.parametrize("neighborhood", list(Neighborhood))
 def test_verify_region_small_box_is_clean(neighborhood):
-    report = verify_region(4, neighborhood)
+    start = time.perf_counter()
+    report = verify_region(5, neighborhood)
+    elapsed = time.perf_counter() - start
     assert report.ok
     assert report.mismatches == ()
-    assert report.checked == 35  # number of triples 0 <= k <= j <= i <= 4
+    assert report.checked == 56  # number of triples 0 <= k <= j <= i <= 5
+    assert elapsed < 10.0, f"extent 5 took {elapsed:.3f}s"
 
 
 def test_verify_region_zero_extent():
