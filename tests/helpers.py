@@ -1,4 +1,4 @@
-"""Shared test inputs and runners, one copy of each.
+"""Shared test inputs, runners and references, one copy of each.
 
 No ``test_`` prefix, so pytest does not collect this file; the test files
 import it by plain name (``pythonpath`` in ``pyproject.toml`` lists
@@ -73,3 +73,9 @@ def load_script(relative, name):
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+# the benchmark's references, which share no code with cubepaths: the direct
+# sums in exact integers and modulo two primes, and the path-listing check
+reference = load_script("perfbench/reference.py", "perfbench_reference")
+MODULAR_COUNTS = reference.ModularCounts()

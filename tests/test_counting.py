@@ -1,8 +1,11 @@
 """Tests for the closed-form path counts.
 
-Worked values here were derived by hand from the combinatorial arguments in
-the docstrings; agreement with the independent graph-search oracle is tested
-separately (test_oracle.py and the acceptance suite).
+Known counts are rows of tests/test_known_values.py, each held there to the
+oracle and to brute force too.  Here the kernels face laws, sweeps and
+certificates.  Their direct factorial sums, exact and modulo two primes, are
+the ones in perfbench/reference.py, which shares no code with cubepaths;
+agreement with the graph-search oracle on whole boxes is tested in
+test_oracle.py and the acceptance suite.
 """
 
 import functools
@@ -61,7 +64,7 @@ from cubepaths.tables import (
 )
 from cubepaths.verify import VerifyReport, verify_region
 import oracle_anchors
-from helpers import canonical_triples, load_script, run_cli
+from helpers import MODULAR_COUNTS, canonical_triples, reference, run_cli
 
 
 def _sorted_offset(a, b, c):
@@ -71,69 +74,35 @@ def _sorted_offset(a, b, c):
 
 # ------------------------------------------- direct factorial sums (reference)
 #
-# The kernels as first written: one factorial quotient per summand.  They
-# are a second reference beside the oracle, at sizes the oracle cannot reach.
-
-
-def _direct_n8_2d(i, j):
-    fi = factorial(i)
-    total = 0
-    for b in range((i - j) // 2 + 1):
-        total += fi // (factorial(b) * factorial(j + b) * factorial(i - j - 2 * b))
-    return total
-
-
-def _direct_n18_maxcase(i, j, k):
-    slack = i - j - k
-    fi = factorial(i)
-    total = 0
-    for a in range(slack // 2 + 1):
-        for b in range((slack - 2 * a) // 2 + 1):
-            total += fi // (
-                factorial(a)
-                * factorial(b)
-                * factorial(k + a)
-                * factorial(j + b)
-                * factorial(slack - 2 * (a + b))
-            )
-    return total
-
-
-def _direct_n18_halfcase(i, j, k):
-    total = i + j + k
-    steps = (total + 1) // 2
-    den = factorial(steps - i) * factorial(steps - j) * factorial(steps - k)
-    if total % 2 == 0:
-        return factorial(steps) // den
-    ri, rj, rk = steps - i, steps - j, steps - k
-    weight = ri * rj + rj * rk + rk * ri
-    return factorial(steps) * weight // den
+# The kernels as first written, one factorial quotient per summand, in
+# perfbench/reference.py: a second reference beside the oracle, at sizes the
+# oracle cannot reach.  On the N18 overlap exact_count sums the
+# dominant-coordinate formula, which equals the half-sum one there.
 
 
 def test_kernels_equal_direct_sums_on_sweep():
     for i in range(41):
         for j in range(i + 1):
-            assert count_n8_2d(i, j) == _direct_n8_2d(i, j), (i, j)
+            assert count_n8_2d(i, j) == reference.exact_n8(i, j), (i, j)
             for k in range(j + 1):
                 off = CanonicalOffset(i, j, k)
                 if i >= j + k:
-                    assert count_n18_maxcase(off) == _direct_n18_maxcase(i, j, k), off
+                    assert count_n18_maxcase(off) == reference.exact_count(18, i, j, k), off
                 if i <= j + k + 1:
-                    assert count_n18_halfcase(off) == _direct_n18_halfcase(i, j, k), off
-                assert count_n26(off) == _direct_n8_2d(i, j) * _direct_n8_2d(i, k), off
+                    assert count_n18_halfcase(off) == reference.exact_count(18, i, j, k), off
+                assert count_n26(off) == reference.exact_count(26, i, j, k), off
 
 
 @pytest.mark.parametrize("triple", [(300, 0, 0), (520, 100, 60), (400, 399, 0), (1000, 500, 250)])
 def test_maxcase_and_n26_equal_direct_sums_beyond_oracle_reach(triple):
-    i, j, k = triple
-    off = CanonicalOffset(i, j, k)
-    assert count_n18_maxcase(off) == _direct_n18_maxcase(i, j, k)
-    assert count_n26(off) == _direct_n8_2d(i, j) * _direct_n8_2d(i, k)
+    off = CanonicalOffset(*triple)
+    assert count_n18_maxcase(off) == reference.exact_count(18, *triple)
+    assert count_n26(off) == reference.exact_count(26, *triple)
 
 
 @pytest.mark.parametrize("triple", [(3000, 2000, 1001), (6000, 3000, 3000)])
 def test_halfcase_equals_direct_formula_beyond_oracle_reach(triple):
-    assert count_n18_halfcase(CanonicalOffset(*triple)) == _direct_n18_halfcase(*triple)
+    assert count_n18_halfcase(CanonicalOffset(*triple)) == reference.exact_count(18, *triple)
 
 
 # ----------------------------------------- single-sum max case (reference)
@@ -167,17 +136,11 @@ def test_maxcase_equals_single_sum_at_the_heaviest_benchmark_shapes(triple):
     assert count_n18_maxcase(CanonicalOffset(*triple)) == _single_sum_n18_maxcase(*triple)
 
 
-def _perfbench_reference():
-    # the benchmark's own references, which share no code with cubepaths
-    return load_script("perfbench/reference.py", "perfbench_reference")
-
-
 @pytest.mark.parametrize("triple", [(2000, 0, 0), (4000, 2000, 1000)])
 def test_single_sum_equals_the_modular_direct_sum_far_beyond_oracle_reach(triple):
     # pins the single sum where the exact double sum takes minutes, so an
     # O(i) max-case kernel built on it is proven at these sizes too
-    reference = _perfbench_reference().ModularCounts()
-    assert reference.matches(18, triple, _single_sum_n18_maxcase(*triple))
+    assert MODULAR_COUNTS.matches(18, triple, _single_sum_n18_maxcase(*triple))
 
 
 def test_single_sum_term_ratio_certificate():
@@ -218,8 +181,7 @@ def test_planar_recurrence_equals_the_planar_count_on_sweep():
 
 @pytest.mark.parametrize("pair", [(6000, 3000), (4000, 0)])
 def test_planar_recurrence_equals_the_modular_direct_sum_far_beyond_oracle_reach(pair):
-    reference = _perfbench_reference().ModularCounts()
-    assert reference.matches(8, (*pair, 0), _planar_by_recurrence(*pair))
+    assert MODULAR_COUNTS.matches(8, (*pair, 0), _planar_by_recurrence(*pair))
 
 
 def test_planar_recurrence_certificate():
@@ -588,20 +550,6 @@ def test_maxcase_step_polynomial_certificate():
 # ------------------------------------------------------- face connectivity
 
 
-@pytest.mark.parametrize(
-    "triple,expected",
-    [
-        ((0, 0, 0), 1),
-        ((1, 0, 0), 1),
-        ((1, 1, 1), 6),
-        ((2, 1, 1), 12),
-        ((3, 2, 1), 60),
-    ],
-)
-def test_count_n6_values(triple, expected):
-    assert count_n6(CanonicalOffset(*triple)) == expected
-
-
 def test_count_n6_is_the_factorial_quotient():
     # every canonical offset with i <= 60
     for i, j, k in canonical_triples(60):
@@ -626,24 +574,6 @@ def test_count_n6_planar_case_is_binomial():
 # -------------------------------------------------------- planar chessboard
 
 
-@pytest.mark.parametrize(
-    "i,j,expected",
-    [
-        (0, 0, 1),
-        (1, 0, 1),
-        (1, 1, 1),
-        (2, 1, 2),
-        (3, 0, 7),
-        (3, 1, 6),
-        (4, 0, 19),
-        (7, 4, 77),
-        (7, 2, 266),
-    ],
-)
-def test_count_n8_2d_values(i, j, expected):
-    assert count_n8_2d(i, j) == expected
-
-
 def test_count_n8_2d_on_the_axis_is_the_central_trinomial_coefficient():
     # OEIS A002426: the coefficient of x^n in (1 + x + x^2)^n
     expected = [1, 1, 3, 7, 19, 51, 141, 393, 1107, 3139, 8953]
@@ -663,20 +593,6 @@ def test_count_n8_2d_rejects_unsorted_input():
 
 
 # -------------------------------------------------- face-edge connectivity
-
-
-@pytest.mark.parametrize(
-    "triple,expected",
-    [
-        ((0, 3, 0), 13),
-        ((1, 3, 0), 12),
-        ((2, 2, 2), 6),
-        ((2, 2, 1), 15),
-        ((1, 1, 1), 6),
-    ],
-)
-def test_count_n18_values(triple, expected):
-    assert count_paths(_sorted_offset(*triple), Neighborhood.N18) == expected
 
 
 def test_count_n18_formulas_respect_applicability():
@@ -731,13 +647,6 @@ def test_halfcase_even_sum_is_a_multinomial():
             assert count_n18_halfcase(off) == factorial(steps) // parts, off
 
 
-def test_nine_five_four_counts_to_126_under_both_formulas():
-    off = CanonicalOffset(9, 5, 4)
-    assert count_n18_maxcase(off) == 126
-    assert count_n18_halfcase(off) == 126
-    assert count_paths(off, Neighborhood.N18, check_overlap=True) == 126
-
-
 def test_overlap_check_raises_when_the_formulas_disagree(monkeypatch):
     import cubepaths.counting as counting
 
@@ -746,30 +655,10 @@ def test_overlap_check_raises_when_the_formulas_disagree(monkeypatch):
     off = CanonicalOffset(9, 5, 4)
     with pytest.raises(AssertionError, match=r"\(9, 5, 4\)"):
         count_paths(off, Neighborhood.N18, check_overlap=True)
-    assert count_paths(off, Neighborhood.N18) == 126
-
-
-def test_nine_four_four_counts_to_630():
-    off = CanonicalOffset(9, 4, 4)
-    assert count_n18_maxcase(off) == 630
-    assert count_n18_halfcase(off) == 630
+    assert count_paths(off, Neighborhood.N18) == count_n18_maxcase(off)
 
 
 # ------------------------------------------------------- full connectivity
-
-
-@pytest.mark.parametrize(
-    "triple,expected",
-    [
-        ((0, 0, 0), 1),
-        ((1, 1, 1), 1),
-        ((2, 1, 0), 6),  # 2 planar paths in xy times 3 in xz
-        ((3, 2, 1), 18),
-        ((7, 4, 2), 20482),  # 77 * 266
-    ],
-)
-def test_count_n26_values(triple, expected):
-    assert count_n26(CanonicalOffset(*triple)) == expected
 
 
 def test_count_n26_is_planar_product():
@@ -787,13 +676,6 @@ def test_count_n26_diagonal_lock_is_perfect_square():
 
 
 # --------------------------------------------------------------- dispatch
-
-
-def test_count_paths_dispatches():
-    off = CanonicalOffset(3, 2, 1)
-    assert count_paths(off, Neighborhood.N6) == 60
-    assert count_paths(off, Neighborhood.N18) == 3
-    assert count_paths(off, Neighborhood.N26) == 18
 
 
 def _recording(seen, name, fn):
@@ -1069,11 +951,6 @@ def test_a_wrong_type_or_size_is_refused_before_the_neighborhood(entry, neighbor
     assert str(refused.value) == str(first)
 
 
-def test_richer_neighborhoods_at_zero_offset():
-    for neighborhood in Neighborhood:
-        assert count_paths(CanonicalOffset(0, 0, 0), neighborhood) == 1
-
-
 def test_counts_stay_exact_at_large_coordinates():
     # Big enough that 64-bit arithmetic would have overflowed long ago.
     off = CanonicalOffset(120, 80, 40)
@@ -1219,19 +1096,13 @@ _FAR_FIELD = [
 ]
 
 
-@functools.cache
-def _modular_counts():
-    return _perfbench_reference().ModularCounts()
-
-
 def _library_misses() -> list:
     # looks count_paths up in counting at call time, so a wrapper set there counts
-    reference = _modular_counts()
     return [
         (triple, n.value)
         for triple in _FAR_FIELD
         for n in Neighborhood
-        if not reference.matches(
+        if not MODULAR_COUNTS.matches(
             n.value, triple, counting.count_paths(CanonicalOffset(*triple), n)
         )
     ]
@@ -1240,7 +1111,6 @@ def _library_misses() -> list:
 def _cli_misses() -> list:
     # each pin through `cubepaths count -n all`, displaced from a signed origin
     # and permuted, so that the CLI's canonicalization is on the path too
-    reference = _modular_counts()
     misses = []
     for i, j, k in _FAR_FIELD:
         argv = ["count", "--from", "1,-2,3", "--to", f"{1 + k},{-2 - i},{3 + j}", "-n", "all"]
@@ -1248,7 +1118,7 @@ def _cli_misses() -> list:
         assert code == 0
         for line in out.splitlines():
             n, value = line.split("\t")
-            if not reference.matches(int(n), (i, j, k), int(value)):
+            if not MODULAR_COUNTS.matches(int(n), (i, j, k), int(value)):
                 misses.append(((i, j, k), int(n)))
     return misses
 

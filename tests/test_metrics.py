@@ -2,7 +2,8 @@
 
 The load-bearing check here is the breadth-first search at the bottom: each
 closed-form distance must equal the true unweighted shortest-path length in
-the move graph, computed without any distance formula.
+the move graph, computed without any distance formula.  Known distances are
+rows of tests/test_known_values.py, beside their counts.
 """
 
 from collections import deque
@@ -23,45 +24,7 @@ def _shifted(p, t):
     return GridPoint(p.x + t.x, p.y + t.y, p.z + t.z)
 
 
-# ---------------------------------------------------------- worked values
-
-
-@pytest.mark.parametrize(
-    "target,expected",
-    [((0, 0, 0), 0), ((2, 1, 1), 4), ((-1, 2, -3), 6), ((5, 0, 0), 5)],
-)
-def test_d6_values(target, expected):
-    assert distance(GridPoint(*target), ORIGIN, Neighborhood.N6) == expected
-
-
-@pytest.mark.parametrize(
-    "target,expected",
-    [
-        ((0, 0, 0), 0),
-        ((1, 1, 0), 1),
-        ((0, 3, 0), 3),  # dominant coordinate wins
-        ((2, 2, 2), 3),  # ceiling of half the sum wins
-        ((1, 1, 1), 2),
-        ((9, 5, 4), 9),
-    ],
-)
-def test_d18_values(target, expected):
-    assert distance(GridPoint(*target), ORIGIN, Neighborhood.N18) == expected
-
-
-@pytest.mark.parametrize(
-    "target,expected",
-    [((0, 0, 0), 0), ((7, 4, 2), 7), ((3, 3, 3), 3), ((-2, 1, 0), 2)],
-)
-def test_d26_values(target, expected):
-    assert distance(GridPoint(*target), ORIGIN, Neighborhood.N26) == expected
-
-
-def test_distance_dispatches_per_neighborhood():
-    p = GridPoint(2, 2, 2)
-    assert distance(p, ORIGIN, Neighborhood.N6) == 6
-    assert distance(p, ORIGIN, Neighborhood.N18) == 3
-    assert distance(p, ORIGIN, Neighborhood.N26) == 2
+# ------------------------------------------------------------- point form
 
 
 def test_displacement_metric_matches_point_form():
