@@ -339,8 +339,20 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
     # write (argparse's --help text too) reaches main's handler
     sys.stdout.write(out)
     sys.stdout.flush()
-    sys.stderr.write(err)
+    _note(err)
     return code
+
+
+def _note(err: str) -> None:
+    # a diagnostic that cannot be written, with fd 2 closed (stderr is None)
+    # or its reader gone, is dropped: the exit code still tells what happened
+    if not err or sys.stderr is None:
+        return
+    try:
+        sys.stderr.write(err)
+        sys.stderr.flush()
+    except OSError:
+        pass
 
 
 def main() -> None:
@@ -354,6 +366,6 @@ def main() -> None:
         if isinstance(exc, BrokenPipeError):  # the reader is gone
             code = EXIT_OK
         else:
-            print(f"cubepaths: error: cannot write output: {exc}", file=sys.stderr)
+            _note(f"cubepaths: error: cannot write output: {exc}\n")
             code = EXIT_USAGE
     sys.exit(code)

@@ -8,8 +8,8 @@ This file holds the rest:
 - injected faults (``monkeypatch``): a verification mismatch, faulty kernels
   the real sweep must find, an internal error that is not a usage error;
 - the number of writes to each stream;
-- child processes: ``python -m cubepaths``, pipes, closed or full stdout, and
-  the modules a count request imports.
+- child processes: ``python -m cubepaths``, pipes, closed or full stdout, a
+  closed or broken stderr, and the modules a count request imports.
 """
 
 import io
@@ -233,6 +233,11 @@ def _child(*args):
     )
 
 
+def _cli_command(argv):
+    # -X dev -W error turns a warning at shutdown into a failure too
+    return [sys.executable, "-X", "dev", "-W", "error", "-m", "cubepaths", *argv]
+
+
 def test_python_dash_m_runs_the_cli():
     proc = _child("-m", "cubepaths", "count", "--to", "0,3,0", "-n", "18")
     assert (proc.returncode, proc.stdout, proc.stderr) == (EXIT_OK, "13\n", "")
@@ -242,10 +247,8 @@ def test_python_dash_m_runs_the_cli():
 def test_a_reader_that_closes_the_pipe_early_ends_the_cli_quietly():
     # far more output than a pipe buffers, so the CLI is still writing when
     # the reader goes away, as under `cubepaths paths ... | head -1`
-    # (-X dev -W error turns a warning at shutdown into a failure too)
     proc = subprocess.Popen(
-        [sys.executable, "-X", "dev", "-W", "error", "-m", "cubepaths", "paths",
-         "--to", "12,7,3", "-n", "6", "--limit", "20000"],
+        _cli_command(["paths", "--to", "12,7,3", "-n", "6", "--limit", "20000"]),
         stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,
         text=True,
@@ -274,8 +277,33 @@ def test_the_truncation_note_follows_the_listing_on_a_shared_pipe(buffering):
     assert lines[-1] == "note: output truncated at 5 paths; more exist"
 
 
+@pytest.mark.skipif(os.name != "posix", reason="needs a POSIX shell")
+def test_a_closed_stderr_changes_neither_the_output_nor_the_exit_code():
+    # fd 2 closed before the CLI starts leaves sys.stderr None
+    proc = subprocess.run(
+        ["sh", "-c", 'exec "$0" "$@" 2>&-', *_cli_command(["count", "--to", "1,0,0", "-n", "6"])],
+        stdout=subprocess.PIPE, text=True, timeout=60, env=child_env(),
+    )
+    assert (proc.returncode, proc.stdout) == (EXIT_OK, "1\n")
+
+
+@pytest.mark.skipif(os.name != "posix", reason="needs POSIX pipes")
+def test_a_usage_error_keeps_its_exit_code_when_the_stderr_reader_is_gone():
+    # the diagnostic's broken pipe is dropped, not read as a closed stdout
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            _cli_command(["count", "--to", "1,0,0", "-n", "7"]),
+            stdout=subprocess.PIPE, stderr=write_end, text=True, timeout=60, env=child_env(),
+        )
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stdout) == (EXIT_USAGE, "")
+
+
 def _unwritable_stdout_child(sink, buffering, argv):
-    command = [sys.executable, "-X", "dev", "-W", "error", "-m", "cubepaths", *argv]
+    command = _cli_command(argv)
     env = child_env(PYTHONUNBUFFERED="1" if buffering == "unbuffered" else None)
     if sink == "closed":
         return subprocess.run(
@@ -320,7 +348,7 @@ def test_output_that_cannot_be_written_is_an_error(sink, buffering, argv):
     assert "Traceback" not in proc.stderr and "Exception ignored" not in proc.stderr
 
 
-def test_cli_import_loads_no_module_a_count_request_does_not_need():
+def test_a_count_imports_no_json_csv_inspect_or_dataclasses():
     # a fresh interpreter's modules, minus what a bare one (site) already has;
     # the CLI child imports the CLI and runs a count below the digit cap
     listing = "import sys; print('\\n'.join(sorted(sys.modules)))"

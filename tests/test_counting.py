@@ -5,7 +5,7 @@ oracle and to brute force too.  Here the kernels face laws, sweeps and
 certificates.  Their direct factorial sums, exact and modulo two primes, are
 the ones in perfbench/reference.py, which shares no code with cubepaths;
 agreement with the graph-search oracle on whole boxes is tested in
-test_oracle.py and the acceptance suite.
+test_oracle.py.
 """
 
 import functools
@@ -13,6 +13,7 @@ import importlib
 import inspect
 import json
 import math
+import time
 from collections import Counter
 from itertools import product
 from math import factorial
@@ -67,30 +68,47 @@ import oracle_anchors
 from helpers import MODULAR_COUNTS, canonical_triples, reference, run_cli
 
 
-def _sorted_offset(a, b, c):
-    i, j, k = sorted((a, b, c), reverse=True)
-    return CanonicalOffset(i, j, k)
-
-
 # ------------------------------------------- direct factorial sums (reference)
 #
 # The kernels as first written, one factorial quotient per summand, in
 # perfbench/reference.py: a second reference beside the oracle, at sizes the
 # oracle cannot reach.  On the N18 overlap exact_count sums the
-# dominant-coordinate formula, which equals the half-sum one there.
+# dominant-coordinate formula, which equals the half-sum one there.  So on the
+# sweep's box the N26 count is the product of two planar counts (a square at
+# j = k), the planar count is 1 on the diagonal, and the even-sum half case is
+# a multinomial.
+
+# each kernel, on the canonical triples where it applies, and its direct sum
+_DIRECT_SUMS = {
+    "count_n8_2d": (
+        lambda i, j, k: k == 0,
+        lambda off: count_n8_2d(off.i, off.j),
+        lambda i, j, k: reference.exact_n8(i, j),
+    ),
+    "count_n18_maxcase": (
+        lambda i, j, k: i >= j + k,
+        count_n18_maxcase,
+        functools.partial(reference.exact_count, 18),
+    ),
+    "count_n18_halfcase": (
+        lambda i, j, k: i <= j + k + 1,
+        count_n18_halfcase,
+        functools.partial(reference.exact_count, 18),
+    ),
+    "count_n26": (
+        lambda i, j, k: True,
+        count_n26,
+        functools.partial(reference.exact_count, 26),
+    ),
+}
 
 
-def test_kernels_equal_direct_sums_on_sweep():
-    for i in range(41):
-        for j in range(i + 1):
-            assert count_n8_2d(i, j) == reference.exact_n8(i, j), (i, j)
-            for k in range(j + 1):
-                off = CanonicalOffset(i, j, k)
-                if i >= j + k:
-                    assert count_n18_maxcase(off) == reference.exact_count(18, i, j, k), off
-                if i <= j + k + 1:
-                    assert count_n18_halfcase(off) == reference.exact_count(18, i, j, k), off
-                assert count_n26(off) == reference.exact_count(26, i, j, k), off
+@pytest.mark.parametrize("kernel", list(_DIRECT_SUMS))
+def test_kernels_equal_direct_sums_on_sweep(kernel):
+    applies, count, direct = _DIRECT_SUMS[kernel]
+    for i, j, k in canonical_triples(40):
+        if applies(i, j, k):
+            assert count(CanonicalOffset(i, j, k)) == direct(i, j, k), (i, j, k)
 
 
 @pytest.mark.parametrize("triple", [(300, 0, 0), (520, 100, 60), (400, 399, 0), (1000, 500, 250)])
@@ -283,11 +301,24 @@ def _halfcase_pattern(off):
     return ((i + j + k) % 2, *(min(g, 3) for g in gaps))
 
 
+def _predecessors(v, neighborhood):
+    # the points one move back from v and one step closer to the origin, found
+    # from the move set and the metric alone: a shortest path to v ends with a
+    # step from one of them
+    steps = distance(v, ORIGIN, neighborhood)
+    return {
+        u
+        for move in admissible_moves(neighborhood)
+        for u in [GridPoint(v.x - move.dx, v.y - move.dy, v.z - move.dz)]
+        if distance(u, ORIGIN, neighborhood) == steps - 1
+    }
+
+
 def _check_n18_predecessors(keep, pattern, steps, expected, excluded):
-    # the geodesic predecessors of each point of a region, found from the move
-    # set and the metric alone, are the expected points (compared raw, so each
-    # is one step back along the move the certificate names), and none lies in
-    # the excluded case; the box i <= 12 holds every pattern (i <= 18 adds none)
+    # the geodesic predecessors of each point of a region are the expected
+    # points (compared raw, so each is one step back along the move the
+    # certificate names), and none lies in the excluded case; the box i <= 12
+    # holds every pattern (i <= 18 adds none)
     box = [CanonicalOffset(*t) for t in canonical_triples(12, start=1) if keep(*t)]
     assert {pattern(off) for off in box} == {
         pattern(t) for t in canonical_triples(18, start=1) if keep(*t)
@@ -296,12 +327,7 @@ def _check_n18_predecessors(keep, pattern, steps, expected, excluded):
     for off in box:
         v = GridPoint(*off)
         assert distance(v, ORIGIN, n18) == steps(off), off
-        found = {
-            u
-            for move in admissible_moves(n18)
-            for u in [GridPoint(v.x - move.dx, v.y - move.dy, v.z - move.dz)]
-            if distance(u, ORIGIN, n18) == steps(off) - 1
-        }
+        found = _predecessors(v, n18)
         assert found == {GridPoint(*u) for u in expected(off)}, off
         assert all(classify_n18(canonicalize(u, ORIGIN)) is not excluded for u in found), off
 
@@ -558,17 +584,11 @@ def test_count_n6_is_the_factorial_quotient():
 
 
 def test_count_n6_pascal_recurrence():
+    def n6(i, j, k):
+        return count_n6(canonicalize(GridPoint(i, j, k), ORIGIN))
+
     for i, j, k in product(range(1, 26), repeat=3):
-        assert count_n6(_sorted_offset(i, j, k)) == (
-            count_n6(_sorted_offset(i - 1, j, k))
-            + count_n6(_sorted_offset(i, j - 1, k))
-            + count_n6(_sorted_offset(i, j, k - 1))
-        ), (i, j, k)
-
-
-def test_count_n6_planar_case_is_binomial():
-    for i, j in product(range(41), repeat=2):
-        assert count_n6(_sorted_offset(i, j, 0)) == math.comb(i + j, i), (i, j)
+        assert n6(i, j, k) == n6(i - 1, j, k) + n6(i, j - 1, k) + n6(i, j, k - 1), (i, j, k)
 
 
 # -------------------------------------------------------- planar chessboard
@@ -578,11 +598,6 @@ def test_count_n8_2d_on_the_axis_is_the_central_trinomial_coefficient():
     # OEIS A002426: the coefficient of x^n in (1 + x + x^2)^n
     expected = [1, 1, 3, 7, 19, 51, 141, 393, 1107, 3139, 8953]
     assert [count_n8_2d(n, 0) for n in range(11)] == expected
-
-
-def test_count_n8_2d_diagonal_is_single_path():
-    for i in range(8):
-        assert count_n8_2d(i, i) == 1
 
 
 def test_count_n8_2d_rejects_unsorted_input():
@@ -619,10 +634,13 @@ def test_classify_n18(triple, case):
 
 
 def test_both_formulas_agree_where_both_apply():
-    for i, j, k in canonical_triples(20):
+    start = time.perf_counter()
+    for i, j, k in canonical_triples(30):
         if j + k <= i <= j + k + 1:
             off = CanonicalOffset(i, j, k)
             assert count_n18_maxcase(off) == count_n18_halfcase(off), off
+    elapsed = time.perf_counter() - start
+    assert elapsed < 5.0, f"the overlap identity took {elapsed:.3f}s"
 
 
 def test_count_n18_dispatch_matches_applicable_formula():
@@ -637,16 +655,6 @@ def test_count_n18_dispatch_matches_applicable_formula():
         assert count_paths(off, Neighborhood.N18, check_overlap=True) == expected, off
 
 
-def test_halfcase_even_sum_is_a_multinomial():
-    # every canonical offset with i <= 30 in the half case with an even sum
-    for i, j, k in canonical_triples(30):
-        if i <= j + k and (i + j + k) % 2 == 0:
-            steps = (i + j + k) // 2
-            parts = factorial(steps - i) * factorial(steps - j) * factorial(steps - k)
-            off = CanonicalOffset(i, j, k)
-            assert count_n18_halfcase(off) == factorial(steps) // parts, off
-
-
 def test_overlap_check_raises_when_the_formulas_disagree(monkeypatch):
     import cubepaths.counting as counting
 
@@ -656,23 +664,6 @@ def test_overlap_check_raises_when_the_formulas_disagree(monkeypatch):
     with pytest.raises(AssertionError, match=r"\(9, 5, 4\)"):
         count_paths(off, Neighborhood.N18, check_overlap=True)
     assert count_paths(off, Neighborhood.N18) == count_n18_maxcase(off)
-
-
-# ------------------------------------------------------- full connectivity
-
-
-def test_count_n26_is_planar_product():
-    for i, j, k in canonical_triples(25):
-        off = CanonicalOffset(i, j, k)
-        assert count_n26(off) == count_n8_2d(i, j) * count_n8_2d(i, k), off
-
-
-def test_count_n26_diagonal_lock_is_perfect_square():
-    for i in range(26):
-        for j in range(i + 1):
-            value = count_n26(CanonicalOffset(i, j, j))
-            root = math.isqrt(value)
-            assert root * root == value, (i, j)
 
 
 # --------------------------------------------------------------- dispatch
@@ -1001,15 +992,8 @@ def test_count_is_the_sum_over_geodesic_predecessors(triple, neighborhood):
 
 
 def _predecessor_sum(v, neighborhood, count):
-    # A shortest path to v ends with a step from a point one closer to the
-    # origin, so count(v) is the sum of count(u) over those predecessors u.
-    steps = distance(v, ORIGIN, neighborhood)
-    total = 0
-    for move in admissible_moves(neighborhood):
-        u = GridPoint(v.x - move.dx, v.y - move.dy, v.z - move.dz)
-        if distance(u, ORIGIN, neighborhood) == steps - 1:
-            total += count(canonicalize(u, ORIGIN), neighborhood)
-    return total
+    # count(v) is the sum of count(u) over the predecessors u of v
+    return sum(count(canonicalize(u, ORIGIN), neighborhood) for u in _predecessors(v, neighborhood))
 
 
 # ------------------------------------------------- far-field mid-layer cut

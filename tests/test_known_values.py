@@ -1,13 +1,12 @@
 """Every known distance and count, stated once and held to every arbiter.
 
 This is the one place a known value is stated; the other test files check
-laws, sweeps and references, and only the release criteria of
-tests/test_acceptance.py repeat a few values end to end.  A row
-``(neighborhood, target, distance, count)`` is checked against
+laws, sweeps and references.  A row ``(neighborhood, target, distance,
+count)`` is checked against
 
 - the metric;
 - the closed form at the target's canonical offset, and on the N18 overlap
-  both N18 formulas;
+  both N18 formulas; these and the metric must answer within 0.1 s;
 - the search oracle;
 - brute force, every move word of the row's length, wherever there are at
   most 200,000 such words.
@@ -16,6 +15,7 @@ A planar row ``(i, j, count)`` is checked against the planar kernel and the
 planar oracle.  Each row is one test ID; a repeated key fails collection.
 """
 
+import time
 from itertools import product
 
 import pytest
@@ -84,6 +84,7 @@ assert len({row[:2] for row in ROWS}) == len(ROWS), "a (neighborhood, target) re
 assert len({row[:2] for row in PLANAR}) == len(PLANAR), "an (i, j) repeats"
 
 BRUTE_FORCE_WORDS = 200_000
+CLOSED_FORM_SECONDS = 0.1
 
 
 def _row_id(row):
@@ -111,12 +112,15 @@ def test_every_arbiter_gives_the_known_value(row):
         return
     neighborhood, target, length, count = row
     point = GridPoint(*target)
+    start = time.perf_counter()
     assert distance(point, ORIGIN, neighborhood) == length
     off = canonicalize(point, ORIGIN)
     assert count_paths(off, neighborhood) == count
     if neighborhood is N18 and classify_n18(off) is N18Case.OVERLAP:
         assert count_n18_maxcase(off) == count
         assert count_n18_halfcase(off) == count
+    elapsed = time.perf_counter() - start
+    assert elapsed < CLOSED_FORM_SECONDS, f"the closed forms took {elapsed:.3f}s"
     assert oracle_count(point, neighborhood) == count
     if len(admissible_moves(neighborhood)) ** length <= BRUTE_FORCE_WORDS:
         assert _brute_force_count(target, neighborhood, length) == count

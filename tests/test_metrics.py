@@ -27,54 +27,54 @@ def _shifted(p, t):
 # ------------------------------------------------------------- point form
 
 
-def test_displacement_metric_matches_point_form():
-    for neighborhood in Neighborhood:
-        fn = displacement_metric(neighborhood)
-        assert fn(3, -1, 2) == distance(GridPoint(3, -1, 2), ORIGIN, neighborhood)
+@pytest.mark.parametrize("neighborhood", list(Neighborhood))
+def test_displacement_metric_matches_point_form(neighborhood):
+    fn = displacement_metric(neighborhood)
+    assert fn(3, -1, 2) == distance(GridPoint(3, -1, 2), ORIGIN, neighborhood)
 
 
 # ----------------------------------------------------- metric axioms etc.
 
 
-def test_symmetry():
+@pytest.mark.parametrize("neighborhood", list(Neighborhood))
+def test_symmetry(neighborhood):
     far = seeded_points(1, 1000, 2000)
     pairs = [(p, ORIGIN) for p in NEAR] + list(zip(far[::2], far[1::2]))
-    for neighborhood in Neighborhood:
-        for p, q in pairs:
-            assert distance(p, q, neighborhood) == distance(q, p, neighborhood), (p, q)
+    for p, q in pairs:
+        assert distance(p, q, neighborhood) == distance(q, p, neighborhood), (p, q)
 
 
-def test_zero_iff_equal():
+@pytest.mark.parametrize("neighborhood", list(Neighborhood))
+def test_zero_iff_equal(neighborhood):
     far = seeded_points(2, 1000, 2000)
     pairs = [(p, ORIGIN) for p in NEAR] + [(p, p) for p in far] + list(zip(far[::2], far[1::2]))
-    for neighborhood in Neighborhood:
-        for p, q in pairs:
-            assert (distance(p, q, neighborhood) == 0) == (p == q), (p, q)
+    for p, q in pairs:
+        assert (distance(p, q, neighborhood) == 0) == (p == q), (p, q)
 
 
-def test_triangle_inequality():
+@pytest.mark.parametrize("neighborhood", list(Neighborhood))
+def test_triangle_inequality(neighborhood):
     far = seeded_points(3, 1000, 3000)
     triples = [(ORIGIN, q, r) for q in NEARER for r in NEARER]
     triples += zip(far[::3], far[1::3], far[2::3])
-    for neighborhood in Neighborhood:
-        for p, q, r in triples:
-            assert distance(p, r, neighborhood) <= distance(p, q, neighborhood) + distance(
-                q, r, neighborhood
-            ), (p, q, r)
+    for p, q, r in triples:
+        assert distance(p, r, neighborhood) <= distance(p, q, neighborhood) + distance(
+            q, r, neighborhood
+        ), (p, q, r)
 
 
-def test_translation_invariance():
+@pytest.mark.parametrize("neighborhood", list(Neighborhood))
+def test_translation_invariance(neighborhood):
     far = seeded_points(4, 1000, 3000)
     triples = [(p, ORIGIN, GridPoint(50, -50, 7)) for p in NEAR]
     triples += zip(far[::3], far[1::3], far[2::3])
-    for neighborhood in Neighborhood:
-        for p, q, t in triples:
-            moved = distance(_shifted(p, t), _shifted(q, t), neighborhood)
-            assert distance(p, q, neighborhood) == moved, (p, q, t)
+    for p, q, t in triples:
+        moved = distance(_shifted(p, t), _shifted(q, t), neighborhood)
+        assert distance(p, q, neighborhood) == moved, (p, q, t)
 
 
 def test_richer_moves_never_lengthen_paths():
-    far = seeded_points(5, 1000, 2000)
+    far = seeded_points(5, 10**6, 2000)
     pairs = [(p, ORIGIN) for p in NEAR] + list(zip(far[::2], far[1::2]))
     for p, q in pairs:
         assert (

@@ -8,6 +8,7 @@ a step by its weight, not by the package's move sets.
 
 import ast
 import inspect
+import time
 from itertools import product
 
 import pytest
@@ -29,7 +30,7 @@ from cubepaths.oracle import (
     oracle_count_2d,
 )
 from cubepaths.verify import verify_region
-from helpers import SIGNED_MAPS, reference, signed_image
+from helpers import SIGNED_MAPS, canonical_triples, reference, signed_image
 
 # ------------------------------------------------------------ oracle_count
 
@@ -82,15 +83,14 @@ def test_enumerate_zero_displacement_is_the_empty_path():
     assert not result.truncated
 
 
-def test_enumerate_counts_match_oracle():
-    targets = [(1, 1, 1), (2, 2, 1), (0, 3, 0), (2, 1, 0)]
-    for target in targets:
+@pytest.mark.parametrize("neighborhood", list(Neighborhood))
+def test_enumerate_counts_match_oracle(neighborhood):
+    for target in [(1, 1, 1), (2, 2, 1), (0, 3, 0), (2, 1, 0)]:
         point = GridPoint(*target)
-        for neighborhood in Neighborhood:
-            expected = oracle_count(point, neighborhood)
-            result = enumerate_shortest_paths(point, neighborhood, limit=expected + 5)
-            assert len(result.paths) == expected
-            assert not result.truncated
+        expected = oracle_count(point, neighborhood)
+        result = enumerate_shortest_paths(point, neighborhood, limit=expected + 5)
+        assert len(result.paths) == expected, target
+        assert not result.truncated, target
 
 
 def test_enumerate_truncates_at_limit():
@@ -130,19 +130,20 @@ def test_enumerate_rejects_nonpositive_limit():
         enumerate_shortest_paths(GridPoint(1, 0, 0), Neighborhood.N6, limit=0)
 
 
-def test_paths_are_sorted_distinct_and_valid():
+@pytest.mark.parametrize("neighborhood", list(Neighborhood))
+def test_paths_are_sorted_distinct_and_valid(neighborhood):
     # the benchmark's listing check: as many paths as the closed form counts,
     # not truncated at a limit of exactly that many, strictly increasing, each
-    # a shortest word of steps of admissible weight that lands on the target
-    for target in [(2, 2, 1), (1, -2, 0), (3, 1, 1)]:
+    # a shortest word of steps of admissible weight that lands on the target;
+    # at every canonical point of the box of extent 3, and at a signed target
+    for target in [*canonical_triples(3), (1, -2, 0)]:
         point = GridPoint(*target)
-        for neighborhood in Neighborhood:
-            count = count_paths(canonicalize(point, ORIGIN), neighborhood)
-            listing = enumerate_shortest_paths(point, neighborhood, limit=count)
-            problems = reference.path_problems(
-                listing.paths, neighborhood.value, target, count, count, listing.truncated
-            )
-            assert problems == [], (target, neighborhood)
+        count = count_paths(canonicalize(point, ORIGIN), neighborhood)
+        listing = enumerate_shortest_paths(point, neighborhood, limit=count)
+        problems = reference.path_problems(
+            listing.paths, neighborhood.value, target, count, count, listing.truncated
+        )
+        assert problems == [], target
 
 
 def test_the_walk_derives_each_displacements_onward_steps_once(monkeypatch):
@@ -214,10 +215,14 @@ def test_the_searches_read_the_step_tables_built_at_import(monkeypatch):
 
 @pytest.mark.parametrize("neighborhood", list(Neighborhood))
 def test_verify_region_small_box_is_clean(neighborhood):
-    report = verify_region(4, neighborhood)
+    start = time.perf_counter()
+    report = verify_region(5, neighborhood)
+    elapsed = time.perf_counter() - start
     assert report.ok
     assert report.mismatches == ()
-    assert report.checked == 35  # number of triples 0 <= k <= j <= i <= 4
+    assert report.checked == 56  # number of triples 0 <= k <= j <= i <= 5
+    # the three boxes together in under 10 s
+    assert elapsed < 10.0 / len(Neighborhood), f"verify_region took {elapsed:.3f}s"
 
 
 def test_verify_region_zero_extent():
